@@ -1,8 +1,7 @@
 """detlint: a determinism-contract static analyzer for the fleet code.
 
-The repo's headline guarantee — byte-identical strict-tier runs and a
-self-deterministic fast tier — is enforced dynamically by digest
-gates, double-run diffs, and ensemble-equivalence checks.  Those
+The repo's headline guarantee — byte-identical fleet runs per seed —
+is enforced dynamically by digest gates and double-run diffs.  Those
 catch a hazard only after it fires on a sampled seed.  This package
 is the designed-in complement: an AST-based lint pass that proves
 whole hazard classes absent *before* runtime — unordered iteration

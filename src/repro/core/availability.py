@@ -10,10 +10,10 @@ slice from a 4K machine leaves 50% goodput even at perfect availability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.block import HOSTS_PER_BLOCK
 from repro.core.scheduler import PlacementPolicy, SliceScheduler
@@ -116,7 +116,9 @@ def analytic_ocs_goodput(slice_chips: int, availability: float, *,
     blocks_per_slice = slice_chips // CHIPS_PER_BLOCK
     p_block = availability**HOSTS_PER_BLOCK
     h = np.arange(num_blocks + 1)
-    pmf = stats.binom.pmf(h, num_blocks, p_block)
+    pmf = np.array([math.comb(num_blocks, k) * p_block**k *
+                    (1.0 - p_block)**(num_blocks - k)
+                    for k in range(num_blocks + 1)])
     packed = (h // blocks_per_slice) * blocks_per_slice
     return float(np.sum(pmf * packed) / num_blocks)
 

@@ -1,4 +1,4 @@
-"""Fleet inventory: pods of blocks with health, occupancy, and fabric state.
+"""Fleet inventory: pods of blocks with health, occupancy, and the fabric.
 
 A :class:`Pod` is the scheduling view of one TPU v4 machine — a cubic
 grid of 4x4x4 blocks where each block is either up or down (failure
@@ -6,8 +6,8 @@ state) and either free or owned by a job.  Placement itself is delegated
 to :class:`repro.core.scheduler.SliceScheduler` so the fleet uses the
 exact OCS-vs-static packing rules of Section 2.5.  On OCS runs the
 :class:`FleetState` carries one :class:`repro.fleet.machine.
-MachineFabric` — every pod's switches plus the machine-level trunk
-layer — so placements (single-pod and cross-pod alike) pay real
+MachineFabric` — priced rewirings plus the machine-level trunk-port
+ledger — so placements (single-pod and cross-pod alike) pay
 reconfiguration latency and trunk-port occupancy.
 
 Free-block state is indexed incrementally — ``num_free`` is O(1) and the
@@ -30,15 +30,13 @@ from repro.core.scheduler import (PlacementPolicy, PlacementStrategy,
                                   SliceScheduler)
 from repro.core.slicing import SliceShape
 from repro.errors import SchedulingError
-from repro.fleet.fabric import PodFabric
 from repro.fleet.machine import MachineFabric
 
 
 class Pod:
-    """One pod's block state: up/down, free/owned, fabric, and placement."""
+    """One pod's block state: up/down, free/owned, and placement."""
 
-    def __init__(self, pod_id: int, num_blocks: int,
-                 fabric: PodFabric | None = None, *,
+    def __init__(self, pod_id: int, num_blocks: int, *,
                  up: np.ndarray | None = None,
                  free: np.ndarray | None = None,
                  counts: np.ndarray | None = None,
@@ -55,7 +53,6 @@ class Pod:
         #: at once; a standalone pod allocates its own rows.
         self.up = np.ones(num_blocks, dtype=bool) if up is None else up
         self.owner: dict[int, int] = {}  # block id -> job id
-        self.fabric = fabric
         side = round(num_blocks ** (1 / 3))
         self._grid = (side, side, side) if side ** 3 == num_blocks else None
         # Incremental free index: _free[b] == up[b] and b not owned.
@@ -65,7 +62,7 @@ class Pod:
         # Mirror of _num_free in a shared int64 vector.  Scalar reads
         # stay on the plain int (cheaper); every mutation writes both,
         # so a FleetState-owned vector always holds all pods' counts
-        # for vectorized consumers (the fast engine's placement pass).
+        # for the machine-wide index (`total_free`, `free_by_pod`).
         self._counts = np.full(1, num_blocks, dtype=np.int64) \
             if counts is None else counts
         self._slot = counts_slot
@@ -194,8 +191,8 @@ class FleetState:
 
     def __init__(self, num_pods: int, blocks_per_pod: int,
                  with_fabric: bool = False, trunk_ports: int = 0) -> None:
-        self.machine = MachineFabric(num_pods, blocks_per_pod,
-                                     trunk_ports) if with_fabric else None
+        self.machine = MachineFabric(num_pods, trunk_ports) \
+            if with_fabric else None
         # Fleet-wide bitmask matrices; each pod works on its row view,
         # so per-pod mutations land here and the invariant rescan runs
         # one vectorized pass over every pod at once.
@@ -206,22 +203,11 @@ class FleetState:
                                     dtype=np.int64)
         self.pods = [
             Pod(pod_id, blocks_per_pod,
-                fabric=self.machine.pods[pod_id] if self.machine else None,
                 up=self._up_matrix[pod_id],
                 free=self._free_matrix[pod_id],
                 counts=self._free_counts,
                 counts_slot=pod_id)
             for pod_id in range(num_pods)]
-
-    @property
-    def free_counts(self) -> np.ndarray:
-        """Per-pod free-block counts as one shared int64 vector.
-
-        Kept in lockstep with every pod's O(1) counter; vectorized
-        consumers (the fast engine's placement pass) index it directly
-        instead of looping ``pod.num_free`` across pods.
-        """
-        return self._free_counts
 
     @property
     def total_blocks(self) -> int:

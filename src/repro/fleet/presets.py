@@ -26,13 +26,6 @@ default), the OCS reconfiguration-latency knobs, and the trunk/spare
 sizing; the CLI's `--strategy`/`--reconfig-seconds`/`--trunk-ports`/
 `--cross-pod` flags override them per run via
 :meth:`~repro.fleet.config.FleetConfig.with_overrides`.
-
-All presets default to the `strict` determinism tier (byte-identical,
-digest-gated replay).  None pin `determinism="fast"`: the fast tier is
-a per-run choice — `--determinism fast` on the CLI, or
-``config.with_overrides(determinism="fast")`` in code — so the same
-preset can anchor both the byte-identity gates (strict) and the
-statistical-equivalence gate (fast) on identical generated inputs.
 """
 
 from __future__ import annotations
@@ -82,7 +75,7 @@ PRESETS: dict[str, FleetConfig] = {
     # vectorized event core.  Same per-pod sizing and machine-wide job
     # mix as `large` (48-block slices must span 27-block pods), but
     # eight times the pods and a denser arrival stream, so the dispatch
-    # loop, the switch banks, and the failure overlay all run at fleet
+    # loop, the trunk ledger, and the failure overlay all run at fleet
     # scale.  Kept to two simulated days so `fleet sweep` can fan a
     # hundred seeds across worker processes in CI-compatible time.
     "hyperscale": FleetConfig(

@@ -53,7 +53,7 @@ from repro.fleet.config import FleetConfig
 from repro.fleet.obs.tracer import NULL_RECORDER, NullRecorder, ObsRecorder
 from repro.fleet.telemetry import FleetTelemetry
 from repro.fleet.workload import FleetJob
-from repro.sim.events import AnyEvent, Simulator
+from repro.sim.events import Event, Simulator
 
 _EPSILON = 1e-9
 
@@ -84,7 +84,7 @@ class ActiveJob:
     overhead: float = 1.0        # wall-clock per useful second
     trunk_tax: float = 0.0       # extra wall per useful second, cross-pod
     trunk_ports_held: int = 0    # trunk endpoints held across all pods
-    completion: AnyEvent = None
+    completion: Event | None = None
 
     @property
     def running(self) -> bool:
@@ -179,6 +179,7 @@ class FleetScheduler:
     # -- queue discipline --------------------------------------------------------
 
     def _queue_order(self, active: ActiveJob) -> tuple:
+        """Dispatch order: priority, then age, then id."""
         return (-active.job.priority, active.submitted_at, active.job.job_id)
 
     def _enqueue(self, job: FleetJob) -> ActiveJob:
@@ -188,10 +189,6 @@ class FleetScheduler:
                           submitted_at=self.sim.now)
         self.queue.append(active)
         return active
-
-    def _queue_in_order(self) -> list[ActiveJob]:
-        """The queue in dispatch order (priority, then age, then id)."""
-        return sorted(self.queue, key=self._queue_order)
 
     def submit(self, job: FleetJob) -> None:
         """Accept a new arrival and try to run it."""
@@ -207,10 +204,7 @@ class FleetScheduler:
         """
         while self._dispatch_pass():
             pass
-        self._post_dispatch_checks()
-
-    def _post_dispatch_checks(self) -> None:
-        """The per-dispatch drift guard (probe + cadenced full rescan)."""
+        # The drift guard: O(pods) probe plus a cadenced full rescan.
         if self.verify_invariants:
             self._dispatches_since_full_check += 1
             if self._dispatches_since_full_check >= self.FULL_CHECK_EVERY:
@@ -219,15 +213,8 @@ class FleetScheduler:
             else:
                 self.state.check_conservation()
 
-    def _dispatch_pass(self, candidates: list[ActiveJob] | None = None
-                       ) -> bool:
-        """One placement sweep; returns True when a re-pass could help.
-
-        `candidates` restricts the sweep to a subset of the queue (in
-        dispatch order); the fast tier uses it for arrivals-only passes
-        where every older queued job's failure rungs are known cached.
-        Strict dispatch always sweeps the whole queue.
-        """
+    def _dispatch_pass(self) -> bool:
+        """One placement sweep; returns True when a re-pass could help."""
         if not self.queue:
             return False
         moved_any = False
@@ -273,9 +260,7 @@ class FleetScheduler:
                 failed_cross.clear()
                 failed_preemptions.clear()
 
-        if candidates is None:
-            candidates = self._queue_in_order()
-        for active in candidates:
+        for active in sorted(self.queue, key=self._queue_order):
             shape = active.job.shape
             can_preempt = active.job.priority >= self.config.preempt_priority
             placement = None
@@ -884,21 +869,17 @@ class FleetScheduler:
                 self.config.checkpoint_seconds / active.interval
         wall = active.pending_reconfig + active.pending_restore + \
             active.remaining * active.overhead * (1.0 + active.trunk_tax)
-        self._schedule_completion(active, wall)
-
-    def _schedule_completion(self, active: ActiveJob, wall: float) -> None:
-        """Arm the completion event `wall` seconds out (overridable)."""
         active.completion = self.sim.schedule(
             wall, lambda a=active: self._complete(a))
 
     def _rewire(self, active: ActiveJob) -> float:
-        """Program the machine fabric for a placement; critical-path cost.
+        """Price the machine fabric's rewiring; critical-path cost.
 
         Static machines (no fabric) and sub-block slices (electrical
         mesh only) need no rewiring and start instantly.  Cross-pod
-        placements additionally program the trunk bank and set the
-        segment's trunk-hop bandwidth tax, scaled by the share of the
-        slice's links that leave their pod.
+        placements additionally hold trunk ports and set the segment's
+        trunk-hop bandwidth tax, scaled by the share of the slice's
+        links that leave their pod.
         """
         active.trunk_tax = 0.0
         active.trunk_ports_held = 0
@@ -906,25 +887,25 @@ class FleetScheduler:
         if machine is None:
             return 0.0
         job = active.job
-        plan = machine.plan(job.job_id, job.shape, active.assignments)
-        if plan.empty:
+        price = machine.plan(job.shape, active.assignments)
+        if price.empty:
             return 0.0
-        machine.apply(plan)
+        machine.apply(job.job_id, active.assignments, price)
         self.telemetry.ocs_reconfigurations += 1
-        self.telemetry.circuits_programmed += plan.num_circuits
-        if plan.cross_pod:
+        self.telemetry.circuits_programmed += price.num_circuits
+        if price.cross_pod:
             self.telemetry.trunk_circuits_programmed += \
-                plan.num_trunk_circuits
+                price.num_trunk_circuits
             active.trunk_tax = self.config.trunk_bandwidth_tax * \
-                plan.cross_fraction
-            active.trunk_ports_held = plan.total_trunk_ports
+                price.cross_fraction
+            active.trunk_ports_held = price.total_trunk_ports
             self.obs.instant("trunk_reconfig", self.sim.now,
                              job_id=job.job_id, kind=job.kind,
                              blocks=job.blocks,
-                             trunk_ports=plan.total_trunk_ports)
-        return plan.latency_seconds(self.config.reconfig_base_seconds,
-                                    self.config.ocs_switch_seconds,
-                                    self.config.trunk_reconfig_seconds)
+                             trunk_ports=price.total_trunk_ports)
+        return price.latency_seconds(self.config.reconfig_base_seconds,
+                                     self.config.ocs_switch_seconds,
+                                     self.config.trunk_reconfig_seconds)
 
     def _segment_progress(self, active: ActiveJob, elapsed: float
                           ) -> tuple[float, float, float, float]:
@@ -945,11 +926,7 @@ class FleetScheduler:
         return reconfig, restore, run_wall, progressed
 
     def _complete(self, active: ActiveJob) -> None:
-        self._finish(active)
-        self.dispatch()
-
-    def _finish(self, active: ActiveJob) -> None:
-        """Retire a job whose completion event fired (no dispatch)."""
+        """Retire a job whose completion event fired, then dispatch."""
         job = active.job
         elapsed = self.sim.now - active.started_at
         reconfig, restore, run_wall, _ = self._segment_progress(active,
@@ -964,6 +941,7 @@ class FleetScheduler:
         self.telemetry.record_for(job).completed_at = self.sim.now
         self.obs.instant("completed", self.sim.now, job_id=job.job_id,
                          kind=job.kind, blocks=job.blocks)
+        self.dispatch()
 
     def _halt_segment(self, active: ActiveJob, *, planned: bool) -> None:
         """Stop a running job's segment, account it, and free its blocks.
@@ -1103,31 +1081,22 @@ class FleetScheduler:
 
     # -- failure hooks -----------------------------------------------------------
 
-    def _apply_block_down(self, pod_id: int, block_id: int) -> None:
-        """Record a block failure and interrupt its holder (no dispatch)."""
-        pod = self.state.pods[pod_id]
-        victim = pod.block_down(block_id)
+    def on_block_down(self, pod_id: int, block_id: int) -> None:
+        """A block failed; interrupt whatever job holds it."""
+        victim = self.state.pods[pod_id].block_down(block_id)
         self.telemetry.block_failures += 1
         self.obs.instant("block_down", self.sim.now, pod_id=pod_id,
                          block_id=block_id)
         if victim is not None:
             self._interrupt(self.running[victim], preempted=False)
-
-    def _apply_block_up(self, pod_id: int, block_id: int) -> None:
-        """Record a block repair (no dispatch)."""
-        self._grow_epoch += 1  # repaired capacity can unstick failures
-        self.state.pods[pod_id].block_up(block_id)
-        self.obs.instant("block_up", self.sim.now, pod_id=pod_id,
-                         block_id=block_id)
-
-    def on_block_down(self, pod_id: int, block_id: int) -> None:
-        """A block failed; interrupt whatever job holds it."""
-        self._apply_block_down(pod_id, block_id)
         self.dispatch()
 
     def on_block_up(self, pod_id: int, block_id: int) -> None:
         """A block came back; queued work may now fit."""
-        self._apply_block_up(pod_id, block_id)
+        self._grow_epoch += 1  # repaired capacity can unstick failures
+        self.state.pods[pod_id].block_up(block_id)
+        self.obs.instant("block_up", self.sim.now, pod_id=pod_id,
+                         block_id=block_id)
         self.dispatch()
 
     # -- end of run --------------------------------------------------------------

@@ -216,9 +216,9 @@ def grid_adjacency_indices(grid: tuple[int, int, int]
     one "+"-face adjacency per dimension (its torus neighbor, wrapping),
     so a grid of n slots always yields 3*n adjacencies.  This is the
     layout walk shared by per-pod wiring (:func:`block_torus_adjacencies`)
-    and the machine-level trunk classification in
-    :mod:`repro.fleet.machine`, which maps slots onto (pod, block) pairs
-    and splits the same adjacencies into intra-pod and cross-pod sets.
+    and the rewiring prices of :mod:`repro.fleet.machine`, which maps
+    slots onto pods and counts the same adjacencies as intra-pod or
+    cross-pod.
 
     The walk is memoized per grid (the handful of legal slice grids
     recur thousands of times over a fleet run); callers get a fresh

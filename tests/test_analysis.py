@@ -462,3 +462,19 @@ class TestSelfRun:
         # the whole pack actually ran.
         assert result.rules_run == tuple(rule_ids())
         assert result.files_checked > 100
+
+    def test_anchor_tables_name_only_existing_files(self):
+        """Every file the rule tables anchor on exists in the package.
+
+        A missing schema anchor silently narrows C102, and a missing
+        allowlist entry is dead configuration, so a table entry must
+        never outlive the file it names.
+        """
+        from repro.analysis.contracts import SCHEMA_ANCHORS, TRACE_ANCHOR
+        from repro.analysis.determinism import (PROFILER_FILES,
+                                                RUN_SECONDS_FILES)
+        src = Path(repro.__file__).parent.parent
+        paths = [suffix for suffix, _ in SCHEMA_ANCHORS] + \
+            [TRACE_ANCHOR, *PROFILER_FILES, *RUN_SECONDS_FILES]
+        missing = [path for path in paths if not (src / path).is_file()]
+        assert not missing

@@ -1,5 +1,8 @@
 """Tests for slice packing and the Figure 4 goodput models."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -219,6 +222,21 @@ class TestGoodput:
         analytic = analytic_ocs_goodput(1024, 0.995)
         sim = simulate_goodput(1024, 0.995, use_ocs=True, trials=400, seed=5)
         assert sim.mean_goodput == pytest.approx(analytic, abs=0.03)
+
+    @pytest.mark.parametrize("chips", [64, 512, 1024, 2048, 3072, 4096])
+    def test_analytic_matches_exact_rational_evaluation(self, chips):
+        # The binomial expectation evaluated exactly in rationals from
+        # the same float block availability: the float evaluation may
+        # differ only by rounding.
+        blocks_per_slice = chips // 64
+        for availability in (0.97, 0.98, 0.99, 0.995, 0.999, 0.9999):
+            p = Fraction(availability ** 16)
+            exact = sum(
+                math.comb(64, k) * p ** k * (1 - p) ** (64 - k) *
+                (k // blocks_per_slice) * blocks_per_slice
+                for k in range(65)) / 64
+            got = analytic_ocs_goodput(chips, availability)
+            assert abs(Fraction(got) - exact) <= Fraction(1, 10 ** 12) * exact
 
     def test_goodput_monotone_in_availability(self):
         values = [analytic_ocs_goodput(512, a)

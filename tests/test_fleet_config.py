@@ -1,9 +1,14 @@
 """Tests for fleet configuration validation."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.fleet.config import FleetConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestValidation:
@@ -92,9 +97,9 @@ class TestWithOverrides:
 
     def test_applies_and_revalidates(self):
         config = FleetConfig().with_overrides(num_pods=4,
-                                              determinism="fast")
+                                              observability=True)
         assert config.num_pods == 4
-        assert config.determinism == "fast"
+        assert config.observability
         # the original is untouched (configs are immutable copies)
         assert FleetConfig().num_pods == 2
 
@@ -107,11 +112,11 @@ class TestWithOverrides:
             FleetConfig().with_overrides(warp_factor=9)
 
     def test_invalid_combination_rejected(self):
-        # with_overrides re-runs __post_init__: fast + observability
-        # cannot be smuggled in via the copy path.
-        with pytest.raises(ConfigurationError, match="observability"):
-            FleetConfig().with_overrides(determinism="fast",
-                                         observability=True)
+        # with_overrides re-runs __post_init__: a field that is valid
+        # alone cannot smuggle in an invalid pairing via the copy path.
+        no_serving = FleetConfig(serving_fraction=0.0, serving_qps=0.0)
+        with pytest.raises(ConfigurationError, match="serving_qps"):
+            no_serving.with_overrides(serving_fraction=0.5)
 
 
 class TestFacade:
@@ -141,13 +146,27 @@ class TestFacade:
         }
         assert set(fleet.__all__) == expected
 
+    def test_import_loads_no_scipy_or_networkx(self):
+        # The runtime depends on numpy alone; a fresh interpreter shows
+        # what importing the fleet package really pulls in.
+        import subprocess
+        import sys
+        probe = ("import sys, repro.fleet; "
+                 "print(sorted(m for m in ('scipy', 'networkx') "
+                 "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", probe],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ,
+                                  "PYTHONPATH": str(SRC)}).stdout
+        assert out.strip() == "[]"
+
     def test_deep_imports_still_work(self):
         # The facade curates; it does not wall off the modules.
-        from repro.fleet.engine_fast import run_fast
+        from repro.fleet.machine import plan_price
         from repro.fleet.obs import ObsRecorder
         from repro.fleet.scheduler import FleetScheduler
         from repro.fleet.serve.tier import ServingTier
         from repro.fleet.trace import validate_trace
-        for obj in (run_fast, ObsRecorder, FleetScheduler, ServingTier,
+        for obj in (plan_price, ObsRecorder, FleetScheduler, ServingTier,
                     validate_trace):
             assert callable(obj)

@@ -1,9 +1,14 @@
-"""Tests for per-pod OCS fabric state and reconfiguration plans."""
+"""Tests for pod-local OCS wiring and the price of rewiring one pod.
+
+The fleet prices a placement's rewiring instead of programming it
+(:func:`repro.fleet.machine.plan_price`); the chip-level wiring here is
+the physical model those prices must agree with.
+"""
 
 import pytest
 
 from repro.errors import OCSError
-from repro.fleet.fabric import PodFabric, ReconfigPlan
+from repro.fleet.machine import plan_price
 from repro.ocs.fabric import OCSFabric
 from repro.ocs.reconfigure import (block_torus_adjacencies,
                                    program_adjacencies, realize_slice,
@@ -43,58 +48,27 @@ class TestBlockTorusAdjacencies:
 
 
 class TestReconfigPlan:
+    """The price of a pod-local reconfiguration plan."""
+
     def test_circuit_count_matches_chip_level_wiring(self):
         # Block-granularity accounting must agree with the full
         # chip-level realization of the same slice on a real fabric.
         wiring = realize_slice(OCSFabric(64), (4, 4, 8))
-        plan = PodFabric(64).plan(0, (4, 4, 8), [0, 1])
-        assert plan.num_circuits == wiring.num_optical_links
+        assert plan_price((4, 4, 8), (2,)).num_circuits == \
+            wiring.num_optical_links
 
     def test_moves_per_switch_is_slice_blocks(self):
-        plan = PodFabric(64).plan(0, (4, 8, 8), [0, 1, 2, 3])
-        assert plan.moves_per_switch == 4
-        assert plan.num_circuits == 48 * 4
+        price = plan_price((4, 8, 8), (4,))
+        assert price.pod_moves == 4
+        assert price.num_circuits == 48 * 4
 
     def test_latency_scales_with_moves(self):
-        plan = PodFabric(64).plan(0, (4, 4, 8), [0, 1])
-        assert plan.latency_seconds(30.0, 0.5) == pytest.approx(31.0)
+        price = plan_price((4, 4, 8), (2,))
+        assert price.latency_seconds(30.0, 0.5, 15.0) == 31.0
 
     def test_sub_block_plan_is_empty_and_free(self):
-        plan = PodFabric(64).plan(0, (2, 2, 4), [5])
-        assert plan.adjacencies == ()
-        assert plan.num_circuits == 0
-        assert plan.moves_per_switch == 0
-        assert plan.latency_seconds(30.0, 0.5) == 0.0
-
-
-class TestPodFabric:
-    def test_apply_release_roundtrip(self):
-        fabric = PodFabric(8)
-        plan = fabric.plan(1, (4, 4, 8), [2, 6])
-        assert fabric.apply(plan) == 96
-        assert fabric.holds(1)
-        assert fabric.live_circuits == 96
-        assert fabric.release(1) == 96
-        assert not fabric.holds(1)
-        assert fabric.live_circuits == 0
-
-    def test_concurrent_jobs_use_disjoint_ports(self):
-        fabric = PodFabric(8)
-        fabric.apply(fabric.plan(1, (4, 4, 8), [0, 1]))
-        fabric.apply(fabric.plan(2, (4, 4, 8), [2, 3]))
-        fabric.apply(fabric.plan(3, (4, 4, 4), [7]))
-        assert fabric.live_circuits == 96 + 96 + 48
-        assert fabric.release(2) == 96
-        assert fabric.live_circuits == 96 + 48
-
-    def test_double_apply_rejected(self):
-        fabric = PodFabric(8)
-        fabric.apply(fabric.plan(1, (4, 4, 4), [0]))
-        with pytest.raises(OCSError):
-            fabric.apply(fabric.plan(1, (4, 4, 4), [1]))
-
-    def test_release_without_circuits_is_harmless(self):
-        fabric = PodFabric(8)
-        assert fabric.release(99) == 0
-        fabric.apply(fabric.plan(1, (2, 2, 4), [0]))  # sub-block: no-op
-        assert fabric.release(1) == 0
+        price = plan_price((2, 2, 4), (1,))
+        assert price.empty
+        assert price.num_circuits == 0
+        assert price.pod_moves == 0
+        assert price.latency_seconds(30.0, 0.5, 15.0) == 0.0

@@ -12,8 +12,8 @@ checking structural invariants after every event:
 * no job is double-placed (its per-pod assignments exactly match pod
   ownership, single-pod jobs live on one pod, never both queued and
   running);
-* fabric circuits exist exactly for running block-multiple jobs, and
-  trunk ports are never double-booked: per-pod trunk usage recomputed
+* the trunk ledger holds ports for exactly the running cross-pod
+  jobs, and trunk ports are never double-booked: per-pod trunk usage recomputed
   from the held-circuit ledger matches the free index and stays within
   capacity;
 
@@ -41,7 +41,6 @@ from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.telemetry import FleetTelemetry
 from repro.fleet.workload import FleetJob
 from repro.sim.events import Simulator
-from repro.topology.builder import is_block_multiple
 
 #: Shapes at or under one 8-block (2x2x2-grid) pod, sub-block included.
 SHAPES = [(2, 2, 4), (4, 4, 4), (4, 4, 8), (4, 4, 12), (4, 8, 8),
@@ -147,17 +146,10 @@ def _check_structure(scheduler):
     machine = state.machine
     if machine is None:
         return
-    # Fabric circuits exist exactly for running block-multiple jobs.
-    for pod in state.pods:
-        for job_id in pod.jobs_on():
-            active = running[job_id]
-            if active.is_cross_pod:
-                # A pod hosting only trunk-facing blocks may hold no
-                # intra-pod circuits; the trunk ledger must hold them.
-                assert machine.holds_trunks(job_id)
-            else:
-                assert pod.fabric.holds(job_id) == \
-                    is_block_multiple(active.job.shape)
+    # The trunk ledger holds ports for exactly the running cross-pod
+    # jobs: pod-local slices never touch the trunk layer.
+    for job_id, active in running.items():
+        assert machine.holds_trunks(job_id) == active.is_cross_pod
     # Trunk ports are never double-booked: recompute per-pod usage
     # from the held ledger and compare against capacity and the index.
     usage = [0] * machine.num_pods

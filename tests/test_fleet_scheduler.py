@@ -216,19 +216,25 @@ class TestReconfiguration:
 
     def test_static_machine_never_reconfigures(self):
         scheduler = _make(policy=PlacementPolicy.STATIC)
-        assert all(pod.fabric is None for pod in scheduler.state.pods)
+        assert scheduler.state.machine is None
         scheduler.submit(_train(0, (4, 4, 8), 0.0, 1000.0))
         scheduler.sim.run()
         assert scheduler.telemetry.ocs_reconfigurations == 0
         assert scheduler.telemetry.reconfig_block_seconds == 0.0
 
     def test_fabric_wired_while_running_released_after(self):
+        # A pod-local rewiring is priced at placement (48 circuits per
+        # block) and holds nothing on the machine's trunk ledger, so
+        # completion leaves the ledger exactly as it found it.
         scheduler = _make()
         scheduler.submit(_train(0, (4, 4, 8), 0.0, 1000.0))
-        fabric = scheduler.state.pods[0].fabric
-        assert fabric.live_circuits == 96  # 48 per block
+        machine = scheduler.state.machine
+        assert scheduler.telemetry.circuits_programmed == 96
+        assert not machine.holds_trunks(0)
         scheduler.sim.run()
-        assert fabric.live_circuits == 0
+        assert 0 not in scheduler.running
+        assert machine.trunk_in_use() == 0
+        machine.check_trunk_accounting()
 
     def test_interrupt_mid_reconfig_loses_only_reconfig_time(self):
         scheduler = _make(reconfig_base_seconds=500.0)

@@ -38,6 +38,14 @@ class TestRunSweep:
         assert [_summary_json(r) for r in inline] == \
             [_summary_json(r) for r in pooled]
 
+    def test_oversized_process_count_clamps(self):
+        # More workers than seeds must behave exactly like a right-sized
+        # pool (the clamp) and like the inline path for one worker.
+        inline = run_sweep("tiny", [0, 1], processes=1)
+        clamped = run_sweep("tiny", [0, 1], processes=64)
+        assert [_summary_json(r) for r in inline] == \
+            [_summary_json(r) for r in clamped]
+
     def test_accepts_config_and_policy(self):
         config = preset_config("tiny")
         results = run_sweep(config, [0], policy=PlacementPolicy.STATIC,
