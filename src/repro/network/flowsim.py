@@ -1,10 +1,14 @@
 """A fluid flow-level network simulator.
 
 Flows carry bytes along fixed routes; active flows share links max-min
-fairly; whenever the flow set changes the rates are recomputed and the next
-completion is scheduled on the discrete-event kernel.  Completion callbacks
-can inject follow-up flows, which is how collective schedules (e.g. the
-steps of a ring all-reduce) express dependencies.
+fairly.  The rates are recomputed once per timestamp at which the flow set
+changed: every flow start or finish cancels the pending completion and
+queues one zero-delay solve event, which runs after all same-time changes
+and schedules the next completion on the discrete-event kernel.  Progress
+is drained at every change, and a same-time drain moves nothing, so the
+rates and finish times equal those of re-solving on every change.
+Completion callbacks can inject follow-up flows, which is how collective
+schedules (e.g. the steps of a ring all-reduce) express dependencies.
 """
 
 from __future__ import annotations
@@ -50,14 +54,18 @@ class FlowSim:
                 (models propagation + fixed message overhead).
         """
         for link, capacity in capacities.items():
-            if capacity <= 0:
-                raise SimulationError(f"link {link} capacity must be > 0")
+            if not (math.isfinite(capacity) and capacity > 0):
+                raise SimulationError(
+                    f"link {link} capacity must be finite and > 0, "
+                    f"got {capacity}")
+        _check_non_negative("latency", latency)
         self.capacities = dict(capacities)
         self.latency = latency
         self.sim = Simulator()
         self.flows: list[Flow] = []
         self._active: list[Flow] = []
-        self._pending_event = None
+        self._pending_event = None   # the next completion event
+        self._solve_queued = False
         self._last_update = 0.0
 
     # -- public API -------------------------------------------------------------
@@ -71,8 +79,8 @@ class FlowSim:
                  delay: float = 0.0,
                  on_complete: Callable[[Flow], None] | None = None) -> Flow:
         """Inject a flow `delay` seconds from now; returns its handle."""
-        if size < 0:
-            raise SimulationError(f"flow size must be >= 0, got {size}")
+        _check_non_negative("flow size", size)
+        _check_non_negative("flow delay", delay)
         flow = Flow(flow_id=len(self.flows), route=tuple(route), size=size,
                     remaining=size, start_time=self.sim.now + delay,
                     on_complete=on_complete)
@@ -103,10 +111,9 @@ class FlowSim:
             flow.finish_time = self.sim.now
             if flow.on_complete:
                 flow.on_complete(flow)
-            self._reschedule()
-            return
-        self._active.append(flow)
-        self._reschedule()
+        else:
+            self._active.append(flow)
+        self._flow_set_changed()
 
     def _advance_progress(self) -> None:
         """Drain bytes at current rates for the elapsed interval."""
@@ -116,11 +123,18 @@ class FlowSim:
                 flow.remaining = max(flow.remaining - flow.rate * elapsed, 0.0)
         self._last_update = self.sim.now
 
-    def _reschedule(self) -> None:
-        """Recompute fair rates and schedule the next completion event."""
+    def _flow_set_changed(self) -> None:
+        """Cancel the pending completion; queue this timestamp's solve."""
         if self._pending_event is not None:
             self._pending_event.cancel()
             self._pending_event = None
+        if not self._solve_queued:
+            self._solve_queued = True
+            self.sim.schedule(0.0, self._solve)
+
+    def _solve(self) -> None:
+        """Recompute fair rates and schedule the next completion event."""
+        self._solve_queued = False
         if not self._active:
             return
         rates = max_min_fair_rates([f.route for f in self._active],
@@ -142,11 +156,17 @@ class FlowSim:
         for flow in finished:
             flow.remaining = 0.0
             flow.finish_time = self.sim.now
-        # Callbacks may add flows; run them before rescheduling.
+        # Callbacks may add flows; run them before the solve is queued.
         for flow in finished:
             if flow.on_complete:
                 flow.on_complete(flow)
-        self._reschedule()
+        self._flow_set_changed()
+
+
+def _check_non_negative(name: str, value: float) -> None:
+    """Reject a size or time that is negative, NaN or infinite."""
+    if not (math.isfinite(value) and value >= 0):
+        raise SimulationError(f"{name} must be finite and >= 0, got {value}")
 
 
 def topology_capacities(topology, link_bandwidth: float) -> dict[LinkId, float]:
