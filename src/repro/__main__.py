@@ -46,7 +46,7 @@ import repro
 from repro.analysis import (AnalysisError, EXIT_CLEAN, EXIT_FINDINGS,
                             EXIT_USAGE, run_lint)
 from repro.core.scheduler import PlacementPolicy, PlacementStrategy
-from repro.errors import TraceError
+from repro.errors import ConfigurationError, TraceError
 from repro.experiments import list_experiments, run
 from repro.fleet import (FleetSimulator, preset_config, preset_names,
                          run_sweep, schedule_for, schedule_names,
@@ -80,37 +80,39 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Per-run knob flags (argparse dests) and the config field each sets.
+_OVERRIDE_FIELDS = {
+    "reconfig_seconds": "reconfig_base_seconds",
+    "trunk_ports": "trunk_ports",
+    "cross_pod": "cross_pod",
+    "cross_pod_preemption": "cross_pod_preemption",
+    "strategy": "strategy",
+    "sample_every": "obs_sample_every_seconds",
+    "scenario": "serve_scenario",
+    "autoscaler": "serve_autoscaler",
+}
+
+
 def _apply_fleet_overrides(config, args: argparse.Namespace):
     """Per-run knob overrides shared by every fleet subcommand.
 
     Reads only flags the calling subparser defined (getattr-guarded
     for the serve-only ones), folding them onto the preset via
-    :meth:`~repro.fleet.config.FleetConfig.with_overrides`.
+    :meth:`~repro.fleet.config.FleetConfig.with_overrides`, which
+    validates every value.
     """
-    overrides: dict = {}
-    if args.reconfig_seconds is not None:
-        overrides["reconfig_base_seconds"] = args.reconfig_seconds
-    if args.trunk_ports is not None:
-        overrides["trunk_ports"] = args.trunk_ports
-    if args.cross_pod is not None:
-        overrides["cross_pod"] = args.cross_pod
-    if args.cross_pod_preemption is not None:
-        overrides["cross_pod_preemption"] = args.cross_pod_preemption
-    if args.strategy not in (None, "all"):
-        overrides["strategy"] = PlacementStrategy(args.strategy)
-    if args.sample_every is not None:
-        overrides["obs_sample_every_seconds"] = args.sample_every
+    overrides = {field: getattr(args, dest)
+                 for dest, field in _OVERRIDE_FIELDS.items()
+                 if getattr(args, dest, None) is not None}
+    if overrides.get("strategy") == "all":  # a sweep, not a field value
+        del overrides["strategy"]
     if getattr(args, "trace_out", None) is not None:
         overrides["observability"] = True
-    if getattr(args, "scenario", None) is not None:
-        overrides["serve_scenario"] = args.scenario
-    if getattr(args, "autoscaler", None) is not None:
-        overrides["serve_autoscaler"] = args.autoscaler
-    return config.with_overrides(**overrides) if overrides else config
+    return config.with_overrides(**overrides)
 
 
-def _fleet_simulator(args: argparse.Namespace) -> FleetSimulator | int:
-    """Build the run's simulator, or return an exit code on bad usage.
+def _fleet_simulator(args: argparse.Namespace) -> FleetSimulator:
+    """Build the run's simulator.
 
     `run`, `record`, `profile`, and `serve` draw fresh inputs from the
     preset + seed and overlay the deployment schedule named by
@@ -120,11 +122,7 @@ def _fleet_simulator(args: argparse.Namespace) -> FleetSimulator | int:
     against the recorded run's.
     """
     if args.mode == "replay":
-        try:
-            trace = load_trace(args.trace)
-        except TraceError as exc:
-            print(f"fleet replay: {exc}", file=sys.stderr)
-            return 2
+        trace = load_trace(args.trace)
         config = _apply_fleet_overrides(trace.config, args)
         windows = None  # the trace's own windows
         if args.deploy_schedule is not None:
@@ -153,12 +151,7 @@ def _fleet_simulator(args: argparse.Namespace) -> FleetSimulator | int:
 
 def _cmd_fleet_report(args: argparse.Namespace) -> int:
     """Render a recorded observability trace (either export format)."""
-    try:
-        recorder = load_obs(args.trace)
-    except TraceError as exc:
-        print(f"fleet report: {exc}", file=sys.stderr)
-        return 2
-    print(render_report(recorder, limit=args.limit))
+    print(render_report(load_obs(args.trace), limit=args.limit))
     return 0
 
 
@@ -176,8 +169,6 @@ def _cmd_fleet_profile(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     simulator = _fleet_simulator(args)
-    if isinstance(simulator, int):
-        return simulator
     # 'both' makes no sense for a profile; default to the OCS policy
     # (the one with a dispatch loop worth profiling).
     policy = PlacementPolicy.OCS if args.policy == "both" \
@@ -216,10 +207,6 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
     if args.strategy == "all":
         print("fleet sweep runs one strategy; pick it explicitly or "
               "drop --strategy for the preset's", file=sys.stderr)
-        return 2
-    if args.seeds < 1:
-        print(f"fleet sweep needs --seeds >= 1, got {args.seeds}",
-              file=sys.stderr)
         return 2
     config = _apply_fleet_overrides(
         preset_config(args.preset if args.preset is not None else "small"),
@@ -261,8 +248,6 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
     if args.preset is None:
         args.preset = "serve_surge"
     simulator = _fleet_simulator(args)
-    if isinstance(simulator, int):
-        return simulator
     if not simulator.config.serve_scenario:
         print(f"fleet serve: preset {args.preset!r} has no serving "
               f"scenario; use --preset serve_surge or --scenario "
@@ -316,8 +301,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
               "and a single --strategy", file=sys.stderr)
         return 2
     simulator = _fleet_simulator(args)
-    if isinstance(simulator, int):
-        return simulator
     if args.strategy == "all":
         # Strategy sweep: identical inputs, one report per strategy.
         # An explicit --policy is honored; the 'both' default means OCS
@@ -603,7 +586,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(arguments)
     except SystemExit as exc:  # argparse exits on -h and usage errors
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigurationError, TraceError) as exc:
+        if args.command != "fleet":
+            raise  # `run figure99` raises, by design
+        print(f"fleet: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ the failure trace is identical across placement policies.
 from __future__ import annotations
 
 import dataclasses
+import operator
+import sys
+import typing
 from dataclasses import dataclass
 from typing import Any
 
@@ -28,6 +31,49 @@ STREAM_SHAPES = 1
 STREAM_FAILURES = 2
 STREAM_REPAIRS = 3
 NUM_STREAMS = 4
+
+#: The serving tier's autoscaler policies (see
+#: :mod:`repro.fleet.serve.autoscaler`), by `serve_autoscaler` spelling.
+AUTOSCALERS = ("reactive", "predictive", "scheduled", "static")
+
+#: The bound tests a row of :data:`_BOUNDS` may name.
+_TESTS = {">": operator.gt, ">=": operator.ge, "<=": operator.le,
+          "in": lambda value, names: value in names}
+_POSITIVE = ((">", 0),)
+_NON_NEGATIVE = ((">=", 0),)
+_FRACTION = ((">=", 0), ("<=", 1))
+
+#: Every constrained field's bounds, as (test, bound) pairs.  Each field
+#: must also match its annotated type, and every float field must be
+#: finite; the cross-field rules live in ``FleetConfig.__post_init__``.
+_BOUNDS = {
+    "num_pods": ((">=", 1),),
+    "blocks_per_pod": ((">=", 1),),
+    "horizon_seconds": _POSITIVE,
+    "arrival_window_seconds": _POSITIVE,
+    "mean_interarrival_seconds": _POSITIVE,
+    "mean_job_seconds": _POSITIVE,
+    "max_job_blocks": ((">=", 1),),
+    "serving_fraction": _FRACTION,
+    "prod_fraction": _FRACTION,
+    "mean_serving_seconds": _POSITIVE,
+    "host_mtbf_seconds": _POSITIVE,
+    "mean_repair_seconds": _POSITIVE,
+    # Young/Daly needs a finite optimal checkpoint interval.
+    "checkpoint_seconds": _POSITIVE,
+    "restore_seconds": _NON_NEGATIVE,
+    "reconfig_base_seconds": _NON_NEGATIVE,
+    "ocs_switch_seconds": _NON_NEGATIVE,
+    "defrag_max_moves": _NON_NEGATIVE,
+    "trunk_ports": _NON_NEGATIVE,
+    "trunk_bandwidth_tax": _NON_NEGATIVE,
+    "trunk_reconfig_seconds": _NON_NEGATIVE,
+    "spare_ports": _NON_NEGATIVE,
+    "optical_failure_fraction": _FRACTION,
+    "port_repair_seconds": _NON_NEGATIVE,
+    "serve_autoscaler": (("in", AUTOSCALERS),),
+    "obs_sample_every_seconds": _POSITIVE,
+}
 
 
 @dataclass(frozen=True)
@@ -191,74 +237,21 @@ class FleetConfig:
                 raise ConfigurationError(
                     f"unknown placement strategy {self.strategy!r}; have "
                     f"{[s.value for s in PlacementStrategy]}") from exc
-        side = round(self.blocks_per_pod ** (1 / 3))
-        if side ** 3 != self.blocks_per_pod:
+        for spec in dataclasses.fields(self):
+            _check_field(spec.name, getattr(self, spec.name))
+        if _cube_root(self.blocks_per_pod) ** 3 != self.blocks_per_pod:
             raise ConfigurationError(
                 f"blocks_per_pod must be a perfect cube, got "
                 f"{self.blocks_per_pod}")
-        if self.num_pods < 1:
-            raise ConfigurationError("need at least one pod")
-        if self.horizon_seconds <= 0 or self.arrival_window_seconds <= 0:
-            raise ConfigurationError("horizon and arrival window must be > 0")
         if self.arrival_window_seconds > self.horizon_seconds:
             raise ConfigurationError(
                 "arrival window cannot outlive the horizon")
-        if self.mean_interarrival_seconds <= 0 or self.mean_job_seconds <= 0:
-            raise ConfigurationError("timing means must be > 0")
-        if not 0.0 <= self.serving_fraction <= 1.0:
-            raise ConfigurationError("serving_fraction must be in [0, 1]")
-        if not 0.0 <= self.prod_fraction <= 1.0:
-            raise ConfigurationError("prod_fraction must be in [0, 1]")
-        if self.max_job_blocks < 1 or self.max_job_blocks > self.total_blocks:
+        if self.max_job_blocks > self.total_blocks:
             raise ConfigurationError(
                 f"max_job_blocks must be in [1, {self.total_blocks}]")
-        if self.host_mtbf_seconds <= 0 or self.mean_repair_seconds <= 0:
-            raise ConfigurationError("MTBF and repair time must be > 0")
-        if self.checkpoint_seconds <= 0:
-            raise ConfigurationError(
-                "checkpoint_seconds must be > 0 (Young/Daly needs a "
-                "finite optimal interval)")
-        if self.restore_seconds < 0:
-            raise ConfigurationError("restore_seconds must be >= 0")
         if self.serving_fraction > 0 and self.serving_qps <= 0:
-            raise ConfigurationError("serving_qps must be > 0")
-        if self.mean_serving_seconds <= 0:
-            raise ConfigurationError("mean_serving_seconds must be > 0")
-        if self.reconfig_base_seconds < 0 or self.ocs_switch_seconds < 0:
             raise ConfigurationError(
-                "reconfiguration latencies must be >= 0")
-        if self.defrag_max_moves < 0:
-            raise ConfigurationError("defrag_max_moves must be >= 0")
-        if self.trunk_ports < 0:
-            raise ConfigurationError("trunk_ports must be >= 0")
-        if self.trunk_bandwidth_tax < 0:
-            raise ConfigurationError("trunk_bandwidth_tax must be >= 0")
-        if self.trunk_reconfig_seconds < 0:
-            raise ConfigurationError("trunk_reconfig_seconds must be >= 0")
-        if self.spare_ports < 0:
-            raise ConfigurationError("spare_ports must be >= 0")
-        if not 0.0 <= self.optical_failure_fraction <= 1.0:
-            raise ConfigurationError(
-                "optical_failure_fraction must be in [0, 1]")
-        if self.port_repair_seconds < 0:
-            raise ConfigurationError("port_repair_seconds must be >= 0")
-        if not isinstance(self.deploy_schedule, str):
-            raise ConfigurationError(
-                "deploy_schedule must be a schedule name string ('' for "
-                "none); schedules are materialized by repro.fleet.scenario")
-        if not isinstance(self.serve_scenario, str):
-            raise ConfigurationError(
-                "serve_scenario must be a scenario name string ('' for "
-                "none); scenarios are materialized by repro.fleet.serve")
-        if self.serve_autoscaler not in (
-                "reactive", "predictive", "scheduled", "static"):
-            raise ConfigurationError(
-                f"serve_autoscaler must be one of 'reactive', "
-                f"'predictive', 'scheduled', or 'static', got "
-                f"{self.serve_autoscaler!r}")
-        if self.obs_sample_every_seconds <= 0:
-            raise ConfigurationError(
-                "obs_sample_every_seconds must be > 0")
+                "serving_qps must be > 0 when serving_fraction > 0")
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to a plain JSON-safe dict (strategy as its value).
@@ -292,21 +285,14 @@ class FleetConfig:
     def with_overrides(self, **overrides: Any) -> "FleetConfig":
         """A copy with the named fields replaced, validated end to end.
 
-        The public spelling of ``dataclasses.replace`` for this config:
-        unknown field names raise :class:`ConfigurationError` (replace
-        raises a bare TypeError), and the copy re-runs
-        ``__post_init__`` so an override can never smuggle in an
-        invalid combination.
+        The public spelling of ``dataclasses.replace`` for this config.
+        The copy goes through :meth:`from_dict`, so an unknown field
+        name raises :class:`ConfigurationError` and an override can
+        never smuggle in an invalid value or combination.
         """
         if not overrides:
             return self
-        known = {f.name for f in dataclasses.fields(self)}
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown FleetConfig field(s) {unknown}; have "
-                f"{sorted(known)}")
-        return dataclasses.replace(self, **overrides)
+        return self.from_dict({**self.to_dict(), **overrides})
 
     @property
     def total_blocks(self) -> int:
@@ -316,7 +302,7 @@ class FleetConfig:
     @property
     def pod_grid_side(self) -> int:
         """Side of a pod's cubic block grid (4 for a 64-block pod)."""
-        return round(self.blocks_per_pod ** (1 / 3))
+        return _cube_root(self.blocks_per_pod)
 
     @property
     def machine_wide_jobs(self) -> bool:
@@ -333,3 +319,33 @@ class FleetConfig:
         """MTBF of one block: any of its 16 hosts down takes it out."""
         from repro.core.block import HOSTS_PER_BLOCK
         return self.host_mtbf_seconds / HOSTS_PER_BLOCK
+
+
+#: Each field's annotated type, resolved once.
+_FIELD_TYPES: dict[str, type] = typing.get_type_hints(FleetConfig)
+
+
+def _check_field(name: str, value: Any) -> None:
+    """Raise unless `value` has `name`'s type, is finite, and is in bounds."""
+    kind = _FIELD_TYPES[name]
+    allowed = (int, float) if kind is float else kind
+    # isinstance counts a bool as an int; only a bool field takes one.
+    if not isinstance(value, allowed) or \
+            isinstance(value, bool) != (kind is bool):
+        raise ConfigurationError(
+            f"{name} must be {kind.__name__}, got {value!r}")
+    # NaN fails every comparison; an int past the float range fails too.
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+    for test, bound in _BOUNDS.get(name, ()):
+        if not _TESTS[test](value, bound):
+            raise ConfigurationError(
+                f"{name} must be {test} {bound}, got {value!r}")
+
+
+def _cube_root(n: int) -> int:
+    """The integer cube root of ``n >= 1``, rounded down; exact at any size."""
+    root = 1 << -(-n.bit_length() // 3)  # a power of two above the root
+    while (smaller := (2 * root + n // (root * root)) // 3) < root:
+        root = smaller
+    return root

@@ -31,7 +31,7 @@ import math
 from pathlib import Path
 from typing import Any
 
-from repro.errors import TraceError
+from repro.errors import ConfigurationError, TraceError
 from repro.fleet.obs.tracer import (Decision, Instant, ObsRecorder,
                                     PLACED_CAUSES, REJECTED_CAUSES, Span)
 from repro.units import HOUR
@@ -283,7 +283,7 @@ def loads_obs(text: str) -> ObsRecorder:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an int past the digit cap
             raise _fail(line_no, f"not valid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise _fail(line_no, "expected an object")
@@ -428,7 +428,7 @@ def load_obs(path: str | Path) -> ObsRecorder:
     text = source.read_text()
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:
         return loads_obs(text)
     if isinstance(payload, dict) and "traceEvents" in payload:
         return _from_chrome_trace(payload)
@@ -443,6 +443,8 @@ def load_obs(path: str | Path) -> ObsRecorder:
 
 def render_report(recorder: ObsRecorder, *, limit: int = 30) -> str:
     """Human-readable digest: run identity, decisions, job timelines."""
+    if limit < 0:
+        raise ConfigurationError(f"report limit must be >= 0, got {limit}")
     meta = recorder.meta
     lines = [
         f"observability report: policy={meta.get('policy', '?')} "

@@ -22,10 +22,9 @@ from __future__ import annotations
 import math
 
 from repro.errors import ConfigurationError
+from repro.fleet.config import AUTOSCALERS
 from repro.fleet.serve.pool import ReplicaPool
 from repro.units import HOUR
-
-AUTOSCALERS = ("reactive", "predictive", "scheduled", "static")
 
 #: Samples per hour when precomputing a scheduled plan's hourly peaks.
 _PLAN_SAMPLES_PER_HOUR = 12

@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.fleet.config import FleetConfig
 from repro.fleet.scheduler import FleetScheduler
-from repro.fleet.serve.autoscaler import AUTOSCALERS, desired_replicas
+from repro.fleet.serve.autoscaler import desired_replicas
 from repro.fleet.serve.pool import ReplicaPool
 from repro.fleet.serve.scenarios import ServeScenario
 from repro.fleet.telemetry import FleetTelemetry
@@ -140,17 +139,10 @@ class ServingTier:
     """Owns the pools and drives them on the control cadence."""
 
     def __init__(self, scenario: ServeScenario, config: FleetConfig,
-                 scheduler: FleetScheduler, *, base_job_id: int,
-                 autoscaler: str | None = None) -> None:
+                 scheduler: FleetScheduler, *, base_job_id: int) -> None:
         self.scenario = scenario
         self.config = config
         self.scheduler = scheduler
-        self.autoscaler = autoscaler if autoscaler is not None \
-            else config.serve_autoscaler
-        if self.autoscaler not in AUTOSCALERS:
-            raise ConfigurationError(
-                f"unknown autoscaler {self.autoscaler!r}; have "
-                f"{list(AUTOSCALERS)}")
         self.pools = [ReplicaPool(model, config.horizon_seconds)
                       for model in scenario.models]
         self._next_id = base_job_id
@@ -235,7 +227,7 @@ class ServingTier:
         obs = self.scheduler.obs
         for pool in self.pools:
             desired = desired_replicas(
-                self.autoscaler, pool, now,
+                self.config.serve_autoscaler, pool, now,
                 target_utilization=self.scenario.target_utilization,
                 min_replicas=self.scenario.min_replicas,
                 lead_seconds=self.scenario.lead_seconds)
@@ -341,7 +333,8 @@ class ServingTier:
                 sum(r["interruptions"] for r in rows),
         }
         return ServeReport(
-            scenario=self.scenario.name, autoscaler=self.autoscaler,
+            scenario=self.scenario.name,
+            autoscaler=self.config.serve_autoscaler,
             tick_seconds=self.scenario.tick_seconds,
             summary=summary, pools=pools)
 

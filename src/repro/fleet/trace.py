@@ -101,15 +101,11 @@ def record_trace(config: FleetConfig, *, seed: int = 0,
 # -- serialization ---------------------------------------------------------------
 
 
-def _config_payload(config: FleetConfig) -> dict[str, Any]:
-    return config.to_dict()
-
-
 def dumps_trace(trace: FleetTrace) -> str:
     """The trace as JSONL text (trailing newline included)."""
     lines = [json.dumps({
         "type": "header", "schema": TRACE_SCHEMA, "version": trace.version,
-        "seed": trace.seed, "config": _config_payload(trace.config),
+        "seed": trace.seed, "config": trace.config.to_dict(),
     }, sort_keys=True)]
     for job in trace.jobs:
         lines.append(json.dumps({
@@ -201,8 +197,6 @@ def _parse_header(record: dict, line_no: int) -> tuple[int, FleetConfig]:
         raise _fail(line_no, "config must be an object")
     try:
         config = FleetConfig.from_dict(payload)
-    except TypeError as exc:  # missing config fields
-        raise _fail(line_no, f"bad config: {exc}") from exc
     except ConfigurationError as exc:
         raise _fail(line_no, f"invalid config: {exc}") from exc
     return seed, config
@@ -300,7 +294,7 @@ def loads_trace(text: str) -> FleetTrace:
             continue  # blank lines tolerated (trailing newline, hand edits)
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an int past the digit cap
             raise _fail(line_no, f"not valid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise _fail(line_no, f"expected an object, got "

@@ -173,6 +173,27 @@ class TestFleetTraceCLI:
         err = capsys.readouterr().err
         assert "trace line 1" in err and "determinism" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("blocks_per_pod", 10 ** 400),
+        ("reconfig_base_seconds", float("nan")),
+        ("cross_pod", "no"),
+        ("num_pods", "2"),
+    ])
+    def test_replay_rejects_tampered_header(self, field, value, tmp_path,
+                                            capsys):
+        trace_path = tmp_path / "run.jsonl"
+        assert main(["fleet", "record", "--preset", "tiny",
+                     "--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        lines = trace_path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["config"][field] = value
+        lines[0] = json.dumps(header, sort_keys=True)
+        trace_path.write_text("\n".join(lines) + "\n")
+        assert main(["fleet", "replay", "--trace", str(trace_path)]) == 2
+        assert f"trace line 1: invalid config: {field}" in \
+            capsys.readouterr().err
+
     def test_replay_honors_policy_flag(self, tmp_path, capsys):
         trace_path = str(tmp_path / "run.jsonl")
         assert main(["fleet", "record", "--preset", "tiny",
@@ -293,6 +314,46 @@ class TestFleetObsCLI:
         assert main(["fleet", "profile", "--preset", "tiny",
                      "--repeat", "0"]) == 2
         assert "--repeat >= 1" in capsys.readouterr().err
+
+
+class TestFleetBadValues:
+    """Bad flag values end in exit 2 naming what is wrong, not a trace."""
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--trunk-ports", "-5"], "trunk_ports"),
+        (["--reconfig-seconds", "-3"], "reconfig_base_seconds"),
+        (["--reconfig-seconds", "nan"], "reconfig_base_seconds"),
+        (["--reconfig-seconds", "inf"], "reconfig_base_seconds"),
+        (["--sample-every", "inf"], "obs_sample_every_seconds"),
+        (["--sample-every", "0"], "obs_sample_every_seconds"),
+    ])
+    def test_bad_knob_exits_two_naming_the_field(self, flags, field,
+                                                 capsys):
+        assert main(["fleet", "--preset", "tiny"] + flags) == 2
+        assert f"fleet: {field} must be" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def obs_trace(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("obs") / "tiny.jsonl"
+        assert main(["fleet", "--preset", "tiny", "--policy", "ocs",
+                     "--trace-out", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("argv, name", [
+        (["profile", "--preset", "tiny", "--repeat", "0"], "repeat"),
+        (["sweep", "--preset", "tiny", "--seeds", "0"], "seed"),
+        (["sweep", "--preset", "tiny", "--seeds", "2",
+          "--processes", "0"], "processes"),
+        (["sweep", "--preset", "tiny", "--seeds", "2",
+          "--processes", "-3"], "processes"),
+        (["report", "--trace", "{obs}", "--limit", "-5"], "limit"),
+    ])
+    def test_bad_count_exits_two(self, argv, name, obs_trace, capsys):
+        argv = [obs_trace if arg == "{obs}" else arg for arg in argv]
+        capsys.readouterr()
+        assert main(["fleet"] + argv) == 2
+        captured = capsys.readouterr()
+        assert name in captured.err and captured.out == ""
 
 
 class TestFleetFlagMatrix:

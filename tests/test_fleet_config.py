@@ -1,14 +1,20 @@
 """Tests for fleet configuration validation."""
 
+import dataclasses
+import json
+import math
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.fleet.config import FleetConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+FIELD_NAMES = [spec.name for spec in dataclasses.fields(FleetConfig)]
 
 
 class TestValidation:
@@ -39,10 +45,55 @@ class TestValidation:
         dict(spare_ports=-1),
         dict(optical_failure_fraction=1.5),
         dict(port_repair_seconds=-1.0),
+        # wrong types: a bool is not an int, a float is not an int
+        dict(num_pods=2.0),
+        dict(num_pods=True),
+        dict(trunk_ports="48"),
+        dict(cross_pod="no"),
+        dict(cross_pod=1),
+        dict(strategy=5),
+        dict(serve_scenario=None),
+        # non-finite floats, including an int past the float range
+        dict(horizon_seconds=float("inf")),
+        dict(reconfig_base_seconds=float("nan")),
+        dict(ocs_switch_seconds=-float("inf")),
+        dict(trunk_bandwidth_tax=10 ** 400),
+        # past the float range, and not a cube
+        dict(blocks_per_pod=10 ** 400),
+        dict(blocks_per_pod=-8),
     ])
     def test_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
             FleetConfig(**overrides)
+
+    def test_error_names_the_field(self):
+        with pytest.raises(ConfigurationError, match="cross_pod must be"):
+            FleetConfig(cross_pod="no")
+        with pytest.raises(ConfigurationError,
+                           match="reconfig_base_seconds must be finite"):
+            FleetConfig(reconfig_base_seconds=float("inf"))
+
+    def test_int_accepted_for_float_field_unconverted(self):
+        config = FleetConfig(checkpoint_seconds=30)
+        assert type(config.checkpoint_seconds) is int
+
+    def test_cube_check_is_integer_exact(self):
+        # Float cube roots overflow past 1e308 and round wrongly long
+        # before that; the integer root does neither.
+        side = 10 ** 134
+        config = FleetConfig(blocks_per_pod=side ** 3)
+        assert config.pod_grid_side == side
+        with pytest.raises(ConfigurationError, match="perfect cube"):
+            FleetConfig(blocks_per_pod=side ** 3 + 1)
+        assert [FleetConfig(blocks_per_pod=n ** 3,
+                            max_job_blocks=1).pod_grid_side
+                for n in range(1, 9)] == list(range(1, 9))
+
+    def test_autoscaler_names_have_one_definition(self):
+        from repro.fleet import config, serve
+        from repro.fleet.serve import autoscaler
+        assert serve.AUTOSCALERS is config.AUTOSCALERS
+        assert autoscaler.AUTOSCALERS is config.AUTOSCALERS
 
     def test_zero_serving_fraction_skips_qps_check(self):
         config = FleetConfig(serving_fraction=0.0, serving_qps=0.0)
@@ -90,6 +141,55 @@ class TestDictRoundTrip:
         payload["num_pods"] = 0
         with pytest.raises(ConfigurationError):
             FleetConfig.from_dict(payload)
+
+
+def _json_values():
+    """Any JSON-able value a hand-edited payload could carry."""
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.text(max_size=8),
+        st.integers(min_value=-2 ** 64, max_value=2 ** 64),
+        st.integers(min_value=2 ** 1024, max_value=2 ** 1100),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                         0, 1, 8, 27, 64, 0.5, 1.0, -1.0, "reactive",
+                         "best_fit", "", "no"]))
+    return st.one_of(scalars, st.lists(scalars, max_size=3))
+
+
+class TestFromDictFuzz:
+    """One field set to an arbitrary JSON value: typed error or valid."""
+
+    @staticmethod
+    def _property(name, value):
+        payload = FleetConfig().to_dict()
+        payload[name] = value
+        try:
+            config = FleetConfig.from_dict(payload)
+        except ConfigurationError:
+            return
+        text = json.dumps(config.to_dict(), sort_keys=True)
+        assert json.dumps(FleetConfig.from_dict(
+            json.loads(text)).to_dict(), sort_keys=True) == text
+        assert all(math.isfinite(v) for v in config.to_dict().values()
+                   if isinstance(v, float))
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.sampled_from(FIELD_NAMES), _json_values())
+    def test_property(self, name, value):
+        self._property(name, value)
+
+    @pytest.mark.parametrize("name", FIELD_NAMES)
+    def test_every_field_against_hostile_values(self, name):
+        for value in (float("nan"), float("inf"), -float("inf"),
+                      2 ** 1024 + 1, True, "x", None, [1]):
+            self._property(name, value)
+
+    def test_serving_tier_takes_no_autoscaler(self):
+        import inspect
+
+        from repro.fleet.serve.tier import ServingTier
+        assert "autoscaler" not in \
+            inspect.signature(ServingTier).parameters
 
 
 class TestWithOverrides:

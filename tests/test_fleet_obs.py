@@ -381,6 +381,11 @@ class TestReportRendering:
         # At least one non-placed cause shows under the hostile mix.
         assert any(cause in text for cause in REJECTED_CAUSES)
 
+    def test_negative_limit_rejected(self):
+        # A negative slice bound would silently drop the last jobs.
+        with pytest.raises(ConfigurationError, match="limit"):
+            render_report(ObsRecorder(), limit=-5)
+
 
 class TestProfiler:
     def test_profile_counts_and_render(self):

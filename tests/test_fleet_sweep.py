@@ -75,6 +75,11 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError):
             run_sweep("tiny", [-1])
 
+    @pytest.mark.parametrize("processes", [0, -3])
+    def test_rejects_nonpositive_process_count(self, processes):
+        with pytest.raises(ConfigurationError, match="processes"):
+            run_sweep("tiny", [0], processes=processes)
+
     def test_unknown_preset_rejected_before_forking(self):
         with pytest.raises(ConfigurationError):
             run_sweep("no_such_preset", [0])

@@ -186,6 +186,14 @@ class TestRecordValidation:
         with pytest.raises(TraceError, match="line 2: not valid JSON"):
             loads_trace(broken)
 
+    def test_int_past_the_digit_cap_rejected(self, tiny_text):
+        # json.loads raises a plain ValueError, not JSONDecodeError,
+        # for an int literal longer than Python's 4300-digit cap.
+        header = tiny_text.splitlines()[0].replace(
+            '"num_pods": 1', '"num_pods": 1' + "0" * 5000)
+        with pytest.raises(TraceError, match="line 1: not valid JSON"):
+            loads_trace(_mutated(tiny_text, 0, raw=header))
+
     def test_non_object_line_rejected(self, tiny_text):
         with pytest.raises(TraceError, match="expected an object"):
             loads_trace(_mutated(tiny_text, 1, raw="[1, 2, 3]"))
