@@ -274,31 +274,6 @@ def plan_multi_region(shape: SliceShape,
     return best
 
 
-def plan_multi_region_hypothetical(
-        shape: SliceShape,
-        free_by_region: Sequence[tuple[int, int]],
-        strategy: PlacementStrategy = PlacementStrategy.FIRST_FIT,
-        *, trunk_budget: Mapping[int, int] | None = None,
-        block_credits: Mapping[int, int] | None = None
-        ) -> MultiRegionPlacement | None:
-    """Place a slice against a *hypothetical* machine state.
-
-    The contention-resolution planner's what-if front door: the caller
-    holds the live ``free_by_region`` and a set of candidate victims
-    (jobs it could evict or migrate away), expressed as per-region
-    ``block_credits`` — blocks that *would* free if the victims went —
-    plus a what-if ``trunk_budget`` (e.g. ``MachineFabric.
-    trunk_budget_excluding`` with the victims' trunk holdings credited
-    back).  The credits are merged into the pools and the ordinary
-    planner runs; nothing is mutated, so the caller can probe victim
-    sets until one yields a placement and only then evict for real.
-    """
-    credited = [(region, free + (block_credits or {}).get(region, 0))
-                for region, free in free_by_region]
-    return plan_multi_region(shape, credited, strategy,
-                             trunk_budget=trunk_budget)
-
-
 def _grid_dims(num_blocks: int) -> tuple[int, int, int]:
     """The physical block grid of a machine (4x4x4 for 64 blocks)."""
     side = round(num_blocks ** (1 / 3))
@@ -429,22 +404,6 @@ class SliceScheduler:
         if strategy is PlacementStrategy.FIRST_FIT:
             return self._first_static_fit(self.healthy, orientations)
         return self._best_static_fit(self.healthy, orientations)
-
-    @staticmethod
-    def place_multi(shape: SliceShape,
-                    free_by_region: Sequence[tuple[int, int]],
-                    strategy: PlacementStrategy =
-                    PlacementStrategy.FIRST_FIT,
-                    *, trunk_budget: Mapping[int, int] | None = None
-                    ) -> MultiRegionPlacement | None:
-        """Machine-wide placement across regions (pods) under OCS.
-
-        Delegates to :func:`plan_multi_region`; lives here so the
-        placement stack has one front door for both the single-machine
-        and the machine-wide outcome.
-        """
-        return plan_multi_region(shape, free_by_region, strategy,
-                                 trunk_budget=trunk_budget)
 
     def pack(self, shape: SliceShape,
              policy: PlacementPolicy) -> ScheduleOutcome:

@@ -188,7 +188,13 @@ def plan_price(shape: SliceShape, counts: tuple[int, ...]) -> PlanPrice:
 
 
 class MachineFabric:
-    """The machine's OCS layers: priced rewirings and the trunk ledger."""
+    """The machine's OCS layers: priced rewirings and the trunk ledger.
+
+    The ledger (free trunk ports per pod, ports held per job) is its
+    only state.  Its one caller, the fleet scheduler, bumps its own
+    grow epoch before every :meth:`release`, so a release needs no
+    signal of its own for the scheduler's failure caches.
+    """
 
     def __init__(self, num_pods: int, trunk_ports: int) -> None:
         if num_pods < 1:
@@ -198,12 +204,6 @@ class MachineFabric:
         self.trunk_ports = trunk_ports
         self._trunk_free = [trunk_ports] * num_pods
         self._held_trunks: dict[int, dict[int, int]] = {}
-        #: Monotone count of releases that actually freed trunk ports.
-        #: The fleet scheduler's dispatch pass watches it to invalidate
-        #: its cross-pod failure caches: within one pass free space
-        #: normally only shrinks, but preemption and trunk-freeing
-        #: defragmentation can hand ports back mid-pass.
-        self.trunk_release_count = 0
 
     # -- trunk index --------------------------------------------------------------
 
@@ -311,7 +311,6 @@ class MachineFabric:
         for pod_id, count in ports.items():
             # detlint: ignore[D005] integer trunk-port counts
             self._trunk_free[pod_id] += count
-        self.trunk_release_count += 1
         # detlint: ignore[D005] integer port counts; order-free sum
         return sum(ports.values()) // 2 * FACE_LINKS
 

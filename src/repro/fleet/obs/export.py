@@ -27,7 +27,7 @@ scenario export byte-identical files — CI diffs them.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -159,6 +159,11 @@ def dumps_chrome_trace(recorder: ObsRecorder) -> str:
                       separators=(",", ":")) + "\n"
 
 
+def _finite(value: int | float) -> bool:
+    """True for a number inside the float range (NaN and inf are not)."""
+    return abs(value) <= sys.float_info.max
+
+
 def validate_chrome_trace(payload: Any) -> None:
     """Check trace-event structural validity; TraceError on violation.
 
@@ -189,13 +194,13 @@ def validate_chrome_trace(payload: Any) -> None:
         if phase != "M":
             ts = event.get("ts")
             if not isinstance(ts, (int, float)) or \
-                    isinstance(ts, bool) or not math.isfinite(ts):
+                    isinstance(ts, bool) or not _finite(ts):
                 raise TraceError(f"{where}: ts must be a finite number, "
                                  f"got {ts!r}")
         if phase == "X":
             dur = event.get("dur")
             if not isinstance(dur, (int, float)) or \
-                    isinstance(dur, bool) or not math.isfinite(dur) or \
+                    isinstance(dur, bool) or not _finite(dur) or \
                     dur < 0:
                 raise TraceError(f"{where}: dur must be a finite "
                                  f"non-negative number, got {dur!r}")
@@ -247,10 +252,9 @@ def _number(record: dict, key: str, line_no: int) -> float:
     value = record.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(line_no, f"{key} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
+    if not _finite(value):
         raise _fail(line_no, f"{key} must be finite")
-    return value
+    return float(value)
 
 
 def _integer(record: dict, key: str, line_no: int) -> int:

@@ -45,8 +45,7 @@ from repro.core.block import HOSTS_PER_BLOCK
 from repro.core.checkpoint import CheckpointParams, optimal_interval
 from repro.core.scheduler import (MultiRegionPlacement, PlacementPolicy,
                                   PlacementStrategy, SliceScheduler,
-                                  plan_multi_region,
-                                  plan_multi_region_hypothetical)
+                                  plan_multi_region)
 from repro.errors import SchedulingError
 from repro.fleet.cluster import FleetState, Pod
 from repro.fleet.config import FleetConfig
@@ -154,21 +153,22 @@ class FleetScheduler:
         #: a bounded window.
         self.verify_invariants = __debug__
         self._dispatches_since_full_check = 0
-        #: Failure caches persisted across dispatch passes.  A failed
-        #: placement attempt mutates nothing, so its result stays valid
-        #: while capacity only *shrinks* (assignments, victimless block
-        #: failures).  `_grow_epoch` counts every capacity-growing
-        #: mutation — block releases and repairs — and the caches are
-        #: flushed whenever it (or the machine's trunk-release counter)
-        #: moved since they were filled.  With observability enabled the
-        #: caches reset every pass so the decision log's
-        #: `failure_cache_hit` classification keeps its per-pass meaning.
+        #: Failure caches persisted across dispatch passes: shapes
+        #: whose free-placement rung failed (pod-local or cross-pod, by
+        #: size), block counts whose defrag failed, and (shape,
+        #: priority) preemptions that failed.  A failed attempt mutates
+        #: nothing, so its result stays valid while capacity only
+        #: *shrinks* (assignments, victimless block failures).
+        #: `_grow_epoch` counts every capacity-growing mutation — block
+        #: and trunk-port releases and repairs — and the dispatch pass
+        #: clears the caches before the next queued job whenever it
+        #: moved.  With observability enabled the caches reset every
+        #: pass so the decision log's `failure_cache_hit`
+        #: classification keeps its per-pass meaning.
         self._grow_epoch = 0
         self._cache_epoch = -1
-        self._cache_trunk_epoch = -1
         self._failed_shapes: set = set()
         self._failed_defrags: set[int] = set()
-        self._failed_cross: set = set()
         self._failed_preemptions: set = set()
         #: Young/Daly interval per block count — a pure function of the
         #: config's failure/checkpoint constants and the job's size,
@@ -223,100 +223,77 @@ class FleetScheduler:
         # the medium preset), so the disabled path must not pay even
         # the attribute lookups.
         obs_enabled = self.obs.enabled
-        # Within a pass, free space only shrinks and (because the queue
-        # is priority-sorted) no preemptible job starts before a
-        # preemptor is considered — so a failed placement, defrag,
-        # cross-pod, or preemption attempt stays failed for identical
-        # later requests, until an eviction or migration moves blocks.
-        # The same monotonicity holds *across* passes and dispatches
-        # while only shrinking mutations occurred, so the caches persist
-        # until the grow epoch (or the trunk ledger) moves.
-        machine = self.state.machine
-        trunk_epoch = machine.trunk_release_count \
-            if machine is not None else 0
-        if obs_enabled or self._cache_epoch != self._grow_epoch or \
-                self._cache_trunk_epoch != trunk_epoch:
-            self._failed_shapes.clear()
-            self._failed_defrags.clear()
-            self._failed_cross.clear()
-            self._failed_preemptions.clear()
+        # A failed placement, defrag, cross-pod or preemption attempt
+        # stays failed for identical later requests while capacity only
+        # shrinks: within a pass free space only shrinks between
+        # releases and (because the queue is priority-sorted) no
+        # preemptible job starts before a preemptor is considered.
+        # Every release of blocks or trunk ports, and every repair,
+        # bumps `_grow_epoch`, so one rule keeps the caches sound: they
+        # are cleared before any queued job whenever the epoch moved
+        # since they were last cleared (or stamped valid by an earlier
+        # pass).  The first job always clears with observability on.
         epoch_at_start = self._grow_epoch
+        valid_at = -1 if obs_enabled else self._cache_epoch
         failed_shapes = self._failed_shapes
         failed_defrags = self._failed_defrags
-        failed_cross = self._failed_cross
         failed_preemptions = self._failed_preemptions
-        # ...except for the trunk layer: preemption and trunk-freeing
-        # defragmentation can hand trunk ports back mid-pass, so any
-        # release observed on the machine fabric invalidates the caches
-        # whose entries depend on the trunk budget.  (The block-freeing
-        # paths below clear every cache at their success sites; this
-        # watcher catches releases on any path that does not.)
-
-        def refresh_trunk_caches() -> None:
-            nonlocal trunk_epoch
-            if machine is not None and \
-                    machine.trunk_release_count != trunk_epoch:
-                trunk_epoch = machine.trunk_release_count
-                failed_cross.clear()
-                failed_preemptions.clear()
-
+        pod_blocks = self.state.pods[0].num_blocks
         for active in sorted(self.queue, key=self._queue_order):
-            shape = active.job.shape
-            can_preempt = active.job.priority >= self.config.preempt_priority
+            if valid_at != self._grow_epoch:
+                valid_at = self._grow_epoch
+                failed_shapes.clear()
+                failed_defrags.clear()
+                failed_preemptions.clear()
+            job = active.job
+            shape = job.shape
+            # One free-placement rung per size class: a job that fits
+            # one pod can only place pod-locally, a bigger one only
+            # across pods, so `failed_shapes` serves both rungs.
+            fits_pod = job.blocks <= pod_blocks
+            can_preempt = job.priority >= self.config.preempt_priority
             placement = None
             via = ""        # the rung that placed it, for the decision log
             attempted = False  # did ANY rung run, or were all cache-skipped
-            if shape not in failed_shapes:
+            if fits_pod and shape not in failed_shapes:
                 attempted = True
-                placement = self._find_anywhere(active.job)
+                placement = self._find_anywhere(job)
                 if placement is None:
                     failed_shapes.add(shape)
                 else:
                     via = "pod_local"
             if placement is None and \
                     self.strategy is PlacementStrategy.DEFRAG and \
-                    active.job.blocks not in failed_defrags:
+                    job.blocks not in failed_defrags:
                 attempted = True
                 placement = self._defrag_for(active)
                 if placement is not None:  # migrations moved blocks
                     via = "defrag"
                     moved_any = True
-                    failed_shapes.clear()
-                    failed_defrags.clear()
-                    failed_cross.clear()
-                    failed_preemptions.clear()
                 else:
-                    failed_defrags.add(active.job.blocks)
-            # Any contention path — this job's defrag attempt just now,
-            # or an earlier iteration's — may have released trunk ports
-            # without reaching the blanket clears above; the
-            # trunk-dependent caches are stale the moment that happens.
-            refresh_trunk_caches()
-            if placement is None and shape not in failed_cross:
+                    failed_defrags.add(job.blocks)
+            if placement is None and not fits_pod and \
+                    shape not in failed_shapes:
                 attempted = True
-                placement = self._find_cross_pod(active.job)
+                placement = self._find_cross_pod(job)
                 if placement is None:
-                    failed_cross.add(shape)
+                    failed_shapes.add(shape)
                 else:
                     via = "cross_pod"
             if placement is None and can_preempt:
-                key = (shape, active.job.priority)
+                key = (shape, job.priority)
                 if key not in failed_preemptions:
                     attempted = True
                     placement = self._preempt_for(active)
                     if placement is not None:  # eviction freed blocks
                         via = "preemption"
                         moved_any = True
-                        failed_shapes.clear()
-                        failed_defrags.clear()
-                        failed_cross.clear()
-                        failed_preemptions.clear()
                     else:
                         failed_preemptions.add(key)
             if obs_enabled:
                 self.obs.decision(
-                    self.sim.now, active.job.job_id, active.job.kind,
-                    active.job.blocks, active.job.priority,
+                    self.sim.now, job.job_id, job.kind, job.blocks,
+                    job.priority,
                     "placed" if placement is not None else "rejected",
                     via if placement is not None else
                     self._rejection_cause(active, attempted, can_preempt))
@@ -324,17 +301,11 @@ class FleetScheduler:
                 continue  # backfill: later (smaller) jobs may still fit
             self._start(active, placement)
         # Stamp the caches as valid only when the pass saw no grow
-        # event at all.  A mid-pass release on a *failed* contention
-        # path (a defrag that evicted but still returned None) leaves
-        # `failed_shapes`/`failed_defrags` stale — the original
-        # per-pass caches bounded that staleness to one pass, so the
-        # persistent caches must not carry it any further.  The trunk
-        # stamp is the last value the watcher reconciled the caches
-        # against, not the machine's current count, for the same
-        # reason.
+        # event at all; a pass that saw one hands its successor clean
+        # caches, as a fresh pass after an eviction or migration must
+        # retry every queued job.
         if self._grow_epoch == epoch_at_start:
             self._cache_epoch = epoch_at_start
-            self._cache_trunk_epoch = trunk_epoch
         return moved_any
 
     def _rejection_cause(self, active: ActiveJob, attempted: bool,
@@ -400,23 +371,21 @@ class FleetScheduler:
     def _find_cross_pod(self, job: FleetJob) -> Placement | None:
         """A cross-pod placement over the trunk layer, or None.
 
-        Only jobs whose block demand exceeds one pod span pods — the
-        paper's machine exists for exactly those slices — and only on an
-        OCS machine with cross-pod placement enabled: a statically-wired
-        fleet has no trunk layer to ride.  The per-pod split comes from
-        :func:`plan_multi_region` under the live trunk-port budget, so a
-        placement that would oversubscribe any pod's trunks is never
-        attempted.
+        The dispatch pass asks only for jobs whose block demand exceeds
+        one pod — the paper's machine exists for exactly those slices;
+        a job that fits one pod never pays spill — and only an OCS
+        machine with cross-pod placement enabled can answer: a
+        statically-wired fleet has no trunk layer to ride.  The per-pod
+        split comes from :func:`plan_multi_region` under the live
+        trunk-port budget, so a placement that would oversubscribe any
+        pod's trunks is never attempted.
         """
         machine = self.state.machine
         if machine is None or not self.config.cross_pod or \
                 self.policy is not PlacementPolicy.OCS or \
                 len(self.state.pods) < 2:
             return None
-        needed = job.blocks
-        if needed <= self.state.pods[0].num_blocks:
-            return None  # fits one pod in principle; spill never pays
-        if self.state.total_free < needed:
+        if self.state.total_free < job.blocks:
             return None
         placement = plan_multi_region(
             job.shape, self.state.free_by_pod(), self.strategy,
@@ -443,7 +412,7 @@ class FleetScheduler:
         instead: its placement is assembled across pods out of
         hypothetical victim credits (blocks per pod, plus the trunk
         ports a cross-pod victim would hand back) under the trunk
-        budget, via :func:`plan_multi_region_hypothetical`.
+        budget, via :meth:`_pools_without`.
         """
         if active.job.blocks > self.state.pods[0].num_blocks:
             return self._preempt_cross_pod(active)
@@ -500,20 +469,12 @@ class FleetScheduler:
             key=lambda a: (a.job.priority, -a.started_at, a.job.job_id))
         if not victims:
             return None
-        free = self.state.free_by_pod()
 
         def plan_with(considered: list[ActiveJob]
                       ) -> MultiRegionPlacement | None:
-            block_credits: dict[int, int] = {}
-            for victim in considered:
-                for pod_id, blocks in victim.assignments:
-                    block_credits[pod_id] = \
-                        block_credits.get(pod_id, 0) + len(blocks)
-            return plan_multi_region_hypothetical(
-                active.job.shape, free, self.strategy,
-                trunk_budget=machine.trunk_budget_excluding(
-                    victim.job.job_id for victim in considered),
-                block_credits=block_credits)
+            free, budget = self._pools_without(considered)
+            return plan_multi_region(active.job.shape, list(free.items()),
+                                     self.strategy, trunk_budget=budget)
 
         considered: list[ActiveJob] = []
         plan: MultiRegionPlacement | None = None
@@ -536,6 +497,22 @@ class FleetScheduler:
                 victim.trunk_ports_held
             self._interrupt(victim, preempted=True)
         return self._materialize(plan)
+
+    def _pools_without(self, leaving: list[ActiveJob]
+                       ) -> tuple[dict[int, int], dict[int, int]]:
+        """Free blocks and trunk ports per pod as if `leaving` had left.
+
+        The contention rungs' what-if view: each leaving job's blocks
+        are credited back to the pods that hold them, and its trunk
+        ports to the budget.  Nothing is released, so a rung can probe
+        candidate sets until one plans, and only then evict or migrate.
+        """
+        free = dict(self.state.free_by_pod())
+        for gone in leaving:
+            for pod_id, blocks in gone.assignments:
+                free[pod_id] += len(blocks)
+        return free, self.state.machine.trunk_budget_excluding(
+            gone.job.job_id for gone in leaving)
 
     def _materialize(self, plan: MultiRegionPlacement) -> Placement:
         """Resolve a multi-region plan's counts to physical blocks."""
@@ -622,8 +599,8 @@ class FleetScheduler:
         if plan is not None:
             # Feasible as-is: no migration needed.  Report failure so
             # the cross-pod rung right after this one places it — a
-            # defrag "success" here would set moved_any and wipe every
-            # failure cache for a placement that moved nothing.
+            # defrag "success" here would set moved_any and force a
+            # re-pass for a placement that moved nothing.
             return None
         if plan_multi_region(shape, free, self.strategy) is None:
             return None  # blocks are the shortage; moves conserve blocks
@@ -632,7 +609,6 @@ class FleetScheduler:
              if candidate.is_cross_pod and candidate.job.priority <
              self.config.preempt_priority),
             key=lambda a: (-a.trunk_ports_held, a.job.job_id))
-        hypo_free = dict(free)
         lifted: list[ActiveJob] = []
         relocations: list[tuple[ActiveJob, MultiRegionPlacement]] = []
         plan = None
@@ -640,19 +616,14 @@ class FleetScheduler:
             if len(lifted) == self.config.defrag_max_moves:
                 break
             lifted.append(donor)
-            for pod_id, blocks in donor.assignments:
-                hypo_free[pod_id] += len(blocks)
-            hypo_budget = machine.trunk_budget_excluding(
-                mover.job.job_id for mover in lifted)
-            plan = plan_multi_region(shape, list(hypo_free.items()),
+            rest_free, rest_budget = self._pools_without(lifted)
+            plan = plan_multi_region(shape, list(rest_free.items()),
                                      self.strategy,
-                                     trunk_budget=hypo_budget)
+                                     trunk_budget=rest_budget)
             if plan is None:
                 continue  # lift another donor
             # Reserve the stuck job's claim, then re-place every lifted
             # donor in what remains; all-or-nothing.
-            rest_free = dict(hypo_free)
-            rest_budget = dict(hypo_budget)
             for pod_id, take in plan.region_blocks:
                 rest_free[pod_id] -= take
             for pod_id, ports in plan.trunk_ports_by_region().items():
@@ -931,11 +902,8 @@ class FleetScheduler:
         elapsed = self.sim.now - active.started_at
         reconfig, restore, run_wall, _ = self._segment_progress(active,
                                                                 elapsed)
-        useful = active.remaining
-        stall = useful * active.overhead * active.trunk_tax
-        writes = max(0.0, run_wall - useful - stall)
-        self._account_segment(active, elapsed, reconfig, restore, useful,
-                              0.0, writes, stall)
+        self._account_segment(active, elapsed, reconfig, restore, run_wall,
+                              active.remaining, active.remaining)
         self._release(active)
         active.remaining = 0.0
         self.telemetry.record_for(job).completed_at = self.sim.now
@@ -960,14 +928,11 @@ class FleetScheduler:
         reconfig, restore, run_wall, progressed = \
             self._segment_progress(active, elapsed)
         if job.is_serving or planned:
-            saved, replay = progressed, 0.0
+            saved = progressed
         else:
             saved = math.floor(progressed / active.interval) * active.interval
-            replay = progressed - saved
-        stall = progressed * active.overhead * active.trunk_tax
-        writes = max(0.0, run_wall - progressed - stall)
-        self._account_segment(active, elapsed, reconfig, restore, saved,
-                              replay, writes, stall)
+        self._account_segment(active, elapsed, reconfig, restore, run_wall,
+                              progressed, saved)
         self._release(active)
         active.remaining = max(0.0, active.remaining - saved)
         active.pending_reconfig = 0.0  # a restart replans the fabric
@@ -1030,17 +995,23 @@ class FleetScheduler:
         active.trunk_ports_held = 0
 
     def _account_segment(self, active: ActiveJob, elapsed: float,
-                         reconfig: float, restore: float, useful: float,
-                         replay: float, writes: float,
-                         stall: float = 0.0) -> None:
+                         reconfig: float, restore: float, run_wall: float,
+                         progressed: float, useful: float) -> None:
         """Bank one segment into the identity's buckets.
 
-        Trunk stall is busy time the slice spends on trunk-hop links:
-        part of the job's step time, so it rides inside the goodput
-        bucket (keeping utilization = goodput + replay + restore +
-        checkpoint + reconfig exact) while being surfaced separately —
-        and excluded from the job's own useful-progress credit.
+        The single segment-banking path: of the `progressed` work the
+        segment ran, `useful` is kept and the rest is replayed later;
+        checkpoint writes fill whatever run wall the progressed work
+        and its trunk stall leave.  Trunk stall is busy time the slice
+        spends on trunk-hop links: part of the job's step time, so it
+        rides inside the goodput bucket (keeping utilization = goodput
+        + replay + restore + checkpoint + reconfig exact) while being
+        surfaced separately — and excluded from the job's own
+        useful-progress credit.
         """
+        replay = progressed - useful
+        stall = progressed * active.overhead * active.trunk_tax
+        writes = max(0.0, run_wall - progressed - stall)
         blocks = active.job.blocks
         if self.obs.enabled:
             # Span boundaries ARE the accounting boundaries: the
@@ -1058,7 +1029,6 @@ class FleetScheduler:
                 self.obs.span("restore", job.job_id, t0 + reconfig,
                               t0 + reconfig + restore,
                               kind=job.kind, blocks=blocks)
-            run_wall = elapsed - reconfig - restore
             if run_wall > 0:
                 self.obs.span("running", job.job_id,
                               t0 + reconfig + restore, t0 + elapsed,
@@ -1114,10 +1084,8 @@ class FleetScheduler:
             reconfig, restore, run_wall, progressed = \
                 self._segment_progress(active, elapsed)
             progressed = min(active.remaining, progressed)
-            stall = progressed * active.overhead * active.trunk_tax
-            writes = max(0.0, run_wall - progressed - stall)
             self._account_segment(active, elapsed, reconfig, restore,
-                                  progressed, 0.0, writes, stall)
+                                  run_wall, progressed, progressed)
             if active.trunk_ports_held:
                 self.telemetry.trunk_port_seconds += \
                     active.trunk_ports_held * (horizon - active.started_at)

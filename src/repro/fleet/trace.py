@@ -36,7 +36,7 @@ recorded run's.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -164,9 +164,10 @@ def _float_field(record: dict, key: str, line_no: int, *,
     value = _field(record, key, line_no)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(line_no, f"{key} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
+    # NaN fails every comparison; an int past the float range fails too.
+    if not abs(value) <= sys.float_info.max:
         raise _fail(line_no, f"{key} must be finite, got {value!r}")
+    value = float(value)
     if minimum is not None and value < minimum:
         raise _fail(line_no, f"{key} must be >= {minimum}, got {value}")
     return value

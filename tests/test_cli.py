@@ -194,6 +194,22 @@ class TestFleetTraceCLI:
         assert f"trace line 1: invalid config: {field}" in \
             capsys.readouterr().err
 
+    def test_replay_rejects_number_past_the_float_range(self, tmp_path,
+                                                         capsys):
+        trace_path = tmp_path / "run.jsonl"
+        assert main(["fleet", "record", "--preset", "tiny",
+                     "--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        lines = trace_path.read_text().splitlines()
+        job = json.loads(lines[1])
+        job["arrival"] = 10 ** 400
+        lines[1] = json.dumps(job, sort_keys=True)
+        trace_path.write_text("\n".join(lines) + "\n")
+        assert main(["fleet", "replay", "--trace", str(trace_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fleet: trace line 2: arrival must be finite")
+        assert "Traceback" not in err
+
     def test_replay_honors_policy_flag(self, tmp_path, capsys):
         trace_path = str(tmp_path / "run.jsonl")
         assert main(["fleet", "record", "--preset", "tiny",
@@ -287,6 +303,26 @@ class TestFleetObsCLI:
         assert "placement attempts" in out
         # The acceptance bar: at least one non-placed cause surfaces.
         assert "top rejection causes" in out
+
+    def test_report_rejects_number_past_the_float_range(self, tmp_path,
+                                                         capsys):
+        trace_path = tmp_path / "obs.jsonl"
+        assert main(["fleet", "--preset", "tiny", "--seed", "0",
+                     "--policy", "ocs", "--trace-out",
+                     str(trace_path)]) == 0
+        capsys.readouterr()
+        lines = trace_path.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines)
+                     if json.loads(line)["type"] == "span")
+        span = json.loads(lines[index])
+        span["start"] = 10 ** 400
+        lines[index] = json.dumps(span, sort_keys=True)
+        trace_path.write_text("\n".join(lines) + "\n")
+        assert main(["fleet", "report", "--trace", str(trace_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fleet: observability line {index + 1}: "
+                              f"start must be finite")
+        assert "Traceback" not in err
 
     def test_profile_renders_phase_table(self, capsys):
         assert main(["fleet", "profile", "--preset", "tiny",

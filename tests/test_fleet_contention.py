@@ -1,7 +1,7 @@
 """Tests for machine-wide contention resolution: cross-pod preemption,
-trunk-freeing defragmentation, the failure-cache invalidation on trunk
-releases, the static-wiring migration guard, and the invariant-guard
-wiring — the ISSUE 5 tentpole and its bugfix satellites."""
+trunk-freeing defragmentation, the failure-cache invalidation on
+mid-pass releases, the static-wiring migration guard, and the
+invariant-guard wiring."""
 
 import json
 
@@ -309,8 +309,8 @@ class TestTrunkFreeingDefrag:
 
 
 class TestStaleFailedCrossCache:
-    """Satellite bugfix: `failed_cross` must clear on any mid-pass
-    trunk release, not only on the blanket success-site clears."""
+    """A cached cross-pod failure must clear on any mid-pass trunk
+    release, not only after a rung that returns a placement."""
 
     def test_trunk_release_unskips_cross_pod_jobs_in_same_pass(self):
         # Model a contention path that frees trunk ports *without*
@@ -354,6 +354,44 @@ class TestStaleFailedCrossCache:
         # the trunk mid-pass; the invalidation must retry it.
         assert 3 in scheduler.running
         assert scheduler.running[3].is_cross_pod
+        scheduler.state.check_invariants()
+
+
+class TestStaleFailedShapeCache:
+    """A cached pod-local failure must clear on any mid-pass *block*
+    release too — one that hands back no trunk port at all."""
+
+    def test_block_release_unskips_pod_local_jobs_in_same_pass(self):
+        # Both pods are full with one single-pod job each.  The probe's
+        # defrag interrupts single-pod job 0 (no trunk ports) and
+        # reports failure; job 3, whose shape job 1 cached as failed
+        # earlier in the same pass, must see pod 0's freed blocks.
+        probe_id = 2
+
+        class LeakyDefrag(FleetScheduler):
+            def _defrag_for(self, active):
+                if active.job.job_id == probe_id:
+                    victim = self.running.get(0)
+                    if victim is not None:
+                        self._interrupt(victim, preempted=False)
+                    return None
+                return super()._defrag_for(active)
+
+        scheduler = _make(strategy="defrag", scheduler_cls=LeakyDefrag)
+        scheduler.submit(_train(0, (8, 8, 8), 0.0, 50000.0))
+        scheduler.submit(_train(4, (8, 8, 8), 0.0, 50000.0))
+        assert scheduler.state.total_free == 0
+        assert scheduler.running[0].trunk_ports_held == 0
+        # One dispatch pass over [1 (4 blocks, fails: no space), probe
+        # (24 blocks; its defrag frees job 0's pod), 3 (job 1's shape)].
+        for job in (_train(1, (4, 8, 8), 0.0, 1000.0),
+                    _train(probe_id, (8, 8, 24), 0.0, 1000.0),
+                    _train(3, (4, 8, 8), 0.0, 1000.0)):
+            scheduler._enqueue(job)
+        scheduler.dispatch()
+        assert 3 in scheduler.running
+        assert scheduler.running[3].pod_id == 0
+        assert 1 not in scheduler.running
         scheduler.state.check_invariants()
 
 

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.scheduler import (PlacementStrategy, SliceScheduler,
-                                  plan_multi_region)
+from repro.core.scheduler import PlacementStrategy, plan_multi_region
 from repro.core.slicing import block_grid, canonical_shape
 from repro.errors import OCSError
 from repro.fleet.config import FleetConfig
@@ -106,10 +105,6 @@ class TestPlanMultiRegion:
         second = plan_multi_region(self.SHAPE, pools,
                                    PlacementStrategy.BEST_FIT)
         assert first == second
-
-    def test_exposed_on_slice_scheduler(self):
-        assert SliceScheduler.place_multi(
-            self.SHAPE, [(0, 10), (1, 10)]) is not None
 
 
 def reference_price(shape, assignments, base, switch, trunk_base):
@@ -279,7 +274,7 @@ class TestMachineFabric:
     def test_reserve_and_release_roundtrip(self):
         # Per-pod view of the roundtrip on a three-pod machine: only
         # the two pods the job spans lose ports, and the excluding
-        # budget and the release counter agree with the live ledger.
+        # budget agrees with the live ledger.
         fabric = self._fabric(num_pods=3)
         price, _ = self._apply_cross(fabric, job_id=7)
         expected = {pod_id: 48 - price.ports_by_region[region]
@@ -291,7 +286,6 @@ class TestMachineFabric:
         assert fabric.trunk_budget_excluding([7]) == {0: 48, 1: 48, 2: 48}
         fabric.check_trunk_accounting()
         assert fabric.release(7) == price.num_trunk_circuits
-        assert fabric.trunk_release_count == 1
         assert fabric.trunk_budget() == {0: 48, 1: 48, 2: 48}
         fabric.check_trunk_accounting()
 
@@ -339,7 +333,6 @@ class TestMachineFabric:
         assert fabric.apply(1, assignments, price) == price.num_circuits
         assert not fabric.holds_trunks(1)
         assert fabric.release(1) == 0
-        assert fabric.trunk_release_count == 0
 
     def test_sub_block_apply_is_free(self):
         fabric = self._fabric()
@@ -352,7 +345,6 @@ class TestMachineFabric:
     def test_release_unknown_job_is_free(self):
         fabric = self._fabric()
         assert fabric.release(99) == 0
-        assert fabric.trunk_release_count == 0
 
     def test_budget_reflects_held_ports(self):
         fabric = self._fabric()
@@ -380,18 +372,17 @@ class TestMachineFabric:
         assert fabric.holds_trunks(1)
         fabric.check_trunk_accounting()
 
-    def test_release_bumps_the_release_counter(self):
-        # The dispatch pass's cache-invalidation signal: only releases
-        # that actually hand trunk ports back count.
+    def test_release_hands_ports_back_once(self):
+        # Only a job that holds trunk ports gets any back, and a second
+        # release of the same job is a no-op.
         fabric = self._fabric()
-        assert fabric.trunk_release_count == 0
-        self._apply_cross(fabric)
-        fabric.release(99)   # held nothing: no trunk came back
-        assert fabric.trunk_release_count == 0
-        fabric.release(1)
-        assert fabric.trunk_release_count == 1
-        fabric.release(1)    # already gone: idempotent, no bump
-        assert fabric.trunk_release_count == 1
+        price, _ = self._apply_cross(fabric)
+        assert fabric.release(99) == 0   # held nothing: no trunk came back
+        assert fabric.trunk_in_use() == price.total_trunk_ports
+        assert fabric.release(1) == price.num_trunk_circuits
+        assert fabric.release(1) == 0    # already gone: idempotent
+        assert fabric.trunk_in_use() == 0
+        fabric.check_trunk_accounting()
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(OCSError):

@@ -284,6 +284,10 @@ class TestJsonlExport:
                                 '"queue_depth": 1, "running_jobs": 0, '
                                 '"trunk_ports_in_use": 0, '
                                 '"free_blocks": [1.5]}'], "free_blocks"),
+        (lambda lines: lines + ['{"type": "span", "name": "running", '
+                                '"job_id": 1, "start": 1' + "0" * 400 +
+                                ', "end": 1.0, "args": {}}'],
+         "start must be finite"),
     ])
     def test_validation_fails_loudly(self, mutate, needle):
         lines = dumps_obs(_run_with_obs("tiny").obs).splitlines()[:1]
@@ -337,6 +341,10 @@ class TestChromeExport:
                            "name": "x"}]}, "ts"),
         ({"traceEvents": [{"ph": "X", "pid": 1, "tid": 0, "name": "x",
                            "ts": 0, "dur": -1}]}, "dur"),
+        ({"traceEvents": [{"ph": "X", "pid": 1, "tid": 0, "name": "x",
+                           "ts": 0, "dur": 10 ** 400}]}, "dur"),
+        ({"traceEvents": [{"ph": "i", "pid": 1, "tid": 0, "name": "x",
+                           "ts": 10 ** 400}]}, "ts"),
     ])
     def test_validator_rejects_corruption(self, corrupt, needle):
         with pytest.raises(TraceError, match=needle):

@@ -260,6 +260,18 @@ class TestRecordValidation:
         with pytest.raises(TraceError, match="must be finite"):
             loads_trace(_mutated(tiny_text, 1, raw=raw))
 
+    @pytest.mark.parametrize("kind, key", [
+        ("job", "arrival"), ("job", "work_seconds"),
+        ("outage", "start"), ("outage", "end")])
+    def test_number_past_the_float_range_rejected(self, tiny_text, kind,
+                                                  key):
+        index = next(i for i, line in enumerate(tiny_text.splitlines())
+                     if json.loads(line)["type"] == kind)
+        record = _line(tiny_text, index)
+        record[key] = 10 ** 400
+        with pytest.raises(TraceError, match=f"{key} must be finite"):
+            loads_trace(_mutated(tiny_text, index, record))
+
     def test_zero_work_rejected(self, tiny_text):
         job = _line(tiny_text, 1)
         job["work_seconds"] = 0.0
