@@ -12,11 +12,11 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 from repro.core.slicing import (SliceShape, blocks_needed, block_grid,
                                 canonical_shape, is_legal_shape)
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError, brief
 from repro.ocs.reconfigure import grid_adjacency_indices
 from repro.topology.builder import is_block_multiple
 
@@ -46,6 +46,25 @@ class PlacementStrategy(Enum):
     FIRST_FIT = "first_fit"
     BEST_FIT = "best_fit"
     DEFRAG = "defrag"
+
+
+_Member = TypeVar("_Member", PlacementPolicy, PlacementStrategy)
+
+
+def enum_member(kind: type[_Member], value: object, what: str) -> _Member:
+    """`value` as a member of `kind`: a member, or its value string.
+
+    Anything else raises ConfigurationError; an identity test against a
+    member would otherwise send a stray string down the wrong branch.
+    """
+    if isinstance(value, kind):
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigurationError(
+            f"unknown {what} {brief(value)}; have "
+            f"{[m.value for m in kind]}") from None
 
 
 @dataclass
@@ -391,8 +410,14 @@ class SliceScheduler:
         The fleet scheduler's fast path: unlike :meth:`pack` it stops at
         one placement instead of filling the machine.  Under OCS any
         healthy blocks are equivalent (Section 2.5), so the strategy
-        only changes which cuboid a *static* machine picks.
+        only changes which cuboid a *static* machine picks.  Either
+        argument may be given as its value string.
         """
+        if not isinstance(policy, PlacementPolicy):
+            policy = enum_member(PlacementPolicy, policy, "placement policy")
+        if not isinstance(strategy, PlacementStrategy):
+            strategy = enum_member(PlacementStrategy, strategy,
+                                   "placement strategy")
         dims = canonical_shape(shape)
         if not is_legal_shape(dims):
             raise SchedulingError(f"illegal slice shape {dims}")
@@ -408,6 +433,7 @@ class SliceScheduler:
     def pack(self, shape: SliceShape,
              policy: PlacementPolicy) -> ScheduleOutcome:
         """Place as many `shape` slices as possible; greedy, deterministic."""
+        policy = enum_member(PlacementPolicy, policy, "placement policy")
         dims = canonical_shape(shape)
         if not is_legal_shape(dims):
             raise SchedulingError(f"illegal slice shape {dims}")

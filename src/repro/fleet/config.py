@@ -17,8 +17,8 @@ import typing
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.scheduler import PlacementStrategy
-from repro.errors import ConfigurationError
+from repro.core.scheduler import PlacementStrategy, enum_member
+from repro.errors import ConfigurationError, brief
 from repro.ocs.switch import SWITCH_TIME_SECONDS
 from repro.units import DAY, HOUR, MINUTE
 
@@ -230,13 +230,8 @@ class FleetConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.strategy, str):  # accept CLI/preset spellings
-            try:
-                object.__setattr__(self, "strategy",
-                                   PlacementStrategy(self.strategy))
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"unknown placement strategy {self.strategy!r}; have "
-                    f"{[s.value for s in PlacementStrategy]}") from exc
+            object.__setattr__(self, "strategy", enum_member(
+                PlacementStrategy, self.strategy, "placement strategy"))
         for spec in dataclasses.fields(self):
             _check_field(spec.name, getattr(self, spec.name))
         if _cube_root(self.blocks_per_pod) ** 3 != self.blocks_per_pod:
@@ -333,14 +328,14 @@ def _check_field(name: str, value: Any) -> None:
     if not isinstance(value, allowed) or \
             isinstance(value, bool) != (kind is bool):
         raise ConfigurationError(
-            f"{name} must be {kind.__name__}, got {value!r}")
+            f"{name} must be {kind.__name__}, got {brief(value)}")
     # NaN fails every comparison; an int past the float range fails too.
     if kind is float and not abs(value) <= sys.float_info.max:
-        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        raise ConfigurationError(f"{name} must be finite, got {brief(value)}")
     for test, bound in _BOUNDS.get(name, ()):
         if not _TESTS[test](value, bound):
             raise ConfigurationError(
-                f"{name} must be {test} {bound}, got {value!r}")
+                f"{name} must be {test} {bound}, got {brief(value)}")
 
 
 def _cube_root(n: int) -> int:

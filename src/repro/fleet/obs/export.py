@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from repro.errors import ConfigurationError, TraceError
+from repro.errors import ConfigurationError, TraceError, brief
 from repro.fleet.obs.tracer import (Decision, Instant, ObsRecorder,
                                     PLACED_CAUSES, REJECTED_CAUSES, Span)
 from repro.units import HOUR
@@ -183,12 +183,12 @@ def validate_chrome_trace(payload: Any) -> None:
             raise TraceError(f"{where}: events must be objects")
         phase = event.get("ph")
         if phase not in ("M", "X", "i", "C"):
-            raise TraceError(f"{where}: unknown phase {phase!r}")
+            raise TraceError(f"{where}: unknown phase {brief(phase)}")
         for key in ("pid", "tid"):
             value = event.get(key)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TraceError(f"{where}: {key} must be an integer, "
-                                 f"got {value!r}")
+                                 f"got {brief(value)}")
         if not isinstance(event.get("name"), str):
             raise TraceError(f"{where}: name must be a string")
         if phase != "M":
@@ -196,14 +196,14 @@ def validate_chrome_trace(payload: Any) -> None:
             if not isinstance(ts, (int, float)) or \
                     isinstance(ts, bool) or not _finite(ts):
                 raise TraceError(f"{where}: ts must be a finite number, "
-                                 f"got {ts!r}")
+                                 f"got {brief(ts)}")
         if phase == "X":
             dur = event.get("dur")
             if not isinstance(dur, (int, float)) or \
                     isinstance(dur, bool) or not _finite(dur) or \
                     dur < 0:
                 raise TraceError(f"{where}: dur must be a finite "
-                                 f"non-negative number, got {dur!r}")
+                                 f"non-negative number, got {brief(dur)}")
 
 
 # -- JSONL export ----------------------------------------------------------------
@@ -251,7 +251,7 @@ def _fail(line_no: int, message: str) -> TraceError:
 def _number(record: dict, key: str, line_no: int) -> float:
     value = record.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(line_no, f"{key} must be a number, got {value!r}")
+        raise _fail(line_no, f"{key} must be a number, got {brief(value)}")
     if not _finite(value):
         raise _fail(line_no, f"{key} must be finite")
     return float(value)
@@ -260,7 +260,7 @@ def _number(record: dict, key: str, line_no: int) -> float:
 def _integer(record: dict, key: str, line_no: int) -> int:
     value = record.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(line_no, f"{key} must be an integer, got {value!r}")
+        raise _fail(line_no, f"{key} must be an integer, got {brief(value)}")
     return value
 
 
@@ -268,14 +268,14 @@ def _string(record: dict, key: str, line_no: int) -> str:
     value = record.get(key)
     if not isinstance(value, str) or not value:
         raise _fail(line_no, f"{key} must be a non-empty string, "
-                             f"got {value!r}")
+                             f"got {brief(value)}")
     return value
 
 
 def _args(record: dict, line_no: int) -> dict:
     value = record.get("args", {})
     if not isinstance(value, dict):
-        raise _fail(line_no, f"args must be an object, got {value!r}")
+        raise _fail(line_no, f"args must be an object, got {brief(value)}")
     return value
 
 
@@ -298,12 +298,12 @@ def loads_obs(text: str) -> ObsRecorder:
             if record.get("schema") != OBS_SCHEMA:
                 raise _fail(line_no,
                             f"not an observability log (schema "
-                            f"{record.get('schema')!r}, expected "
+                            f"{brief(record.get('schema'))}, expected "
                             f"{OBS_SCHEMA!r})")
             if record.get("version") != OBS_VERSION:
                 raise _fail(line_no,
                             f"unsupported version "
-                            f"{record.get('version')!r} (this library "
+                            f"{brief(record.get('version'))} (this library "
                             f"reads version {OBS_VERSION})")
             meta = record.get("meta", {})
             if not isinstance(meta, dict):
@@ -331,10 +331,10 @@ def loads_obs(text: str) -> ObsRecorder:
             outcome = _string(record, "outcome", line_no)
             if outcome not in _OUTCOMES:
                 raise _fail(line_no, f"outcome must be one of "
-                                     f"{_OUTCOMES}, got {outcome!r}")
+                                     f"{_OUTCOMES}, got {brief(outcome)}")
             cause = _string(record, "cause", line_no)
             if cause not in _CAUSES:
-                raise _fail(line_no, f"unknown decision cause {cause!r}; "
+                raise _fail(line_no, f"unknown decision cause {brief(cause)}; "
                                      f"have {sorted(_CAUSES)}")
             recorder.decisions.append(Decision(
                 time=_number(record, "time", line_no),
@@ -349,7 +349,7 @@ def loads_obs(text: str) -> ObsRecorder:
                     all(isinstance(f, int) and not isinstance(f, bool)
                         for f in free)):
                 raise _fail(line_no, f"free_blocks must be a list of "
-                                     f"integers, got {free!r}")
+                                     f"integers, got {brief(free)}")
             recorder.sample(
                 time=_number(record, "time", line_no),
                 queue_depth=_integer(record, "queue_depth", line_no),

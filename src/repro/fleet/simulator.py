@@ -26,7 +26,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.core.scheduler import PlacementPolicy, PlacementStrategy
+from repro.core.scheduler import (PlacementPolicy, PlacementStrategy,
+                                  enum_member)
 from repro.fleet.cluster import FleetState
 from repro.fleet.config import (FleetConfig, NUM_STREAMS, STREAM_ARRIVALS,
                                 STREAM_FAILURES, STREAM_REPAIRS,
@@ -213,8 +214,9 @@ class FleetSimulator:
 
         The job stream and outage trace are fixed at construction, so
         calling `run` repeatedly with different policies or strategies
-        compares them on identical inputs.  `strategy=None` uses the
-        config's default.  OCS runs price every rewiring and hold trunk
+        compares them on identical inputs.  Either may be given as its
+        value string (``"ocs"``, ``"best_fit"``); anything else raises
+        ConfigurationError.  `strategy=None` uses the config's default.  OCS runs price every rewiring and hold trunk
         ports on the machine fabric; a static machine has no switches
         to program.  Deployment windows are
         merged into the down/up event sequence here — with none, the
@@ -227,8 +229,9 @@ class FleetSimulator:
         changes any result — observers only read — but the sampler's
         ticks do grow `events_fired`.
         """
-        strategy = strategy if strategy is not None else \
-            self.config.strategy
+        policy = enum_member(PlacementPolicy, policy, "placement policy")
+        strategy = self.config.strategy if strategy is None else \
+            enum_member(PlacementStrategy, strategy, "placement strategy")
         horizon = self.config.horizon_seconds
         if recorder is None:
             recorder = ObsRecorder() if self.config.observability \

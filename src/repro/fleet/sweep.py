@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Sequence
 
-from repro.core.scheduler import PlacementPolicy
+from repro.core.scheduler import PlacementPolicy, enum_member
 from repro.errors import ConfigurationError
 from repro.fleet.config import FleetConfig
 from repro.fleet.presets import preset_config
@@ -61,7 +61,7 @@ def run_sweep(config: FleetConfig | str, seeds: Sequence[int], *,
               processes: int | None = None) -> list[SweepResult]:
     """Run `config` under `policy` for every seed; sorted by seed.
 
-    `config` may be a preset name.  `processes=None` uses one worker
+    `config` may be a preset name, and `policy` its value string.  `processes=None` uses one worker
     per core; any worker count — default or explicit — is clamped to
     the seed count, since extra workers could only sit idle while
     costing pool spawn time.  A resolved count of 1 (either requested
@@ -71,6 +71,7 @@ def run_sweep(config: FleetConfig | str, seeds: Sequence[int], *,
     """
     if isinstance(config, str):
         config = preset_config(config)
+    policy = enum_member(PlacementPolicy, policy, "placement policy")
     seeds = list(seeds)
     if not seeds:
         raise ConfigurationError("sweep needs at least one seed")

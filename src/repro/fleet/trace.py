@@ -42,7 +42,8 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.core.slicing import blocks_needed
-from repro.errors import ConfigurationError, SchedulingError, TraceError
+from repro.errors import (ConfigurationError, SchedulingError, TraceError,
+                          brief)
 from repro.fleet.config import FleetConfig
 from repro.fleet.failures import BlockOutage, DrainWindow
 from repro.fleet.simulator import FleetSimulator
@@ -153,7 +154,7 @@ def _int_field(record: dict, key: str, line_no: int, *,
                minimum: int | None = None) -> int:
     value = _field(record, key, line_no)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(line_no, f"{key} must be an integer, got {value!r}")
+        raise _fail(line_no, f"{key} must be an integer, got {brief(value)}")
     if minimum is not None and value < minimum:
         raise _fail(line_no, f"{key} must be >= {minimum}, got {value}")
     return value
@@ -163,10 +164,10 @@ def _float_field(record: dict, key: str, line_no: int, *,
                  minimum: float | None = None) -> float:
     value = _field(record, key, line_no)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(line_no, f"{key} must be a number, got {value!r}")
+        raise _fail(line_no, f"{key} must be a number, got {brief(value)}")
     # NaN fails every comparison; an int past the float range fails too.
     if not abs(value) <= sys.float_info.max:
-        raise _fail(line_no, f"{key} must be finite, got {value!r}")
+        raise _fail(line_no, f"{key} must be finite, got {brief(value)}")
     value = float(value)
     if minimum is not None and value < minimum:
         raise _fail(line_no, f"{key} must be >= {minimum}, got {value}")
@@ -185,7 +186,7 @@ def _parse_header(record: dict, line_no: int) -> tuple[int, FleetConfig]:
     _check_keys(record, _HEADER_KEYS, line_no)
     schema = _field(record, "schema", line_no)
     if schema != TRACE_SCHEMA:
-        raise _fail(line_no, f"not a fleet trace (schema {schema!r}, "
+        raise _fail(line_no, f"not a fleet trace (schema {brief(schema)}, "
                              f"expected {TRACE_SCHEMA!r})")
     version = _int_field(record, "version", line_no)
     if version != TRACE_VERSION:
@@ -209,16 +210,17 @@ def _parse_job(record: dict, config: FleetConfig,
     kind = _field(record, "kind", line_no)
     if kind not in ("train", "serve"):
         raise _fail(line_no, f"kind must be 'train' or 'serve', "
-                             f"got {kind!r}")
+                             f"got {brief(kind)}")
     model = _field(record, "model_type", line_no)
     if not isinstance(model, str):
-        raise _fail(line_no, f"model_type must be a string, got {model!r}")
+        raise _fail(line_no,
+                    f"model_type must be a string, got {brief(model)}")
     raw_shape = _field(record, "shape", line_no)
     if not (isinstance(raw_shape, list) and len(raw_shape) == 3 and
             all(isinstance(d, int) and not isinstance(d, bool) and d >= 1
                 for d in raw_shape)):
         raise _fail(line_no, f"shape must be three positive integers, "
-                             f"got {raw_shape!r}")
+                             f"got {brief(raw_shape)}")
     shape = tuple(raw_shape)
     try:
         blocks = blocks_needed(shape)
@@ -269,7 +271,7 @@ def _parse_outage(record: dict, config: FleetConfig,
     via_spare = _field(record, "via_spare", line_no)
     if not isinstance(via_spare, bool):
         raise _fail(line_no, f"via_spare must be a boolean, "
-                             f"got {via_spare!r}")
+                             f"got {brief(via_spare)}")
     return BlockOutage(pod_id=pod_id, block_id=block_id, start=start,
                        end=end, via_spare=via_spare)
 
@@ -315,7 +317,7 @@ def loads_trace(text: str) -> FleetTrace:
         elif kind == "drain":
             windows.append(_parse_drain(record, config, line_no))
         else:
-            raise _fail(line_no, f"unknown record type {kind!r}")
+            raise _fail(line_no, f"unknown record type {brief(kind)}")
     if config is None or seed is None:
         raise TraceError("empty trace: no header record")
     trace = FleetTrace(seed=seed, config=config, jobs=tuple(jobs),

@@ -7,7 +7,7 @@ code multiplies multiplicity by per-link bandwidth.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import TopologyError
 from repro.topology.coords import (
@@ -31,12 +31,18 @@ class Topology:
     Attributes:
         shape: grid extent per dimension.
         vertex_transitive: True when the graph looks identical from every
-            node (regular and twisted tori).  Property computations exploit
-            this to run single-source instead of all-pairs scans.
+            node (regular tori and tori twisted in one dimension).  Property
+            computations exploit this to run single-source instead of
+            all-pairs scans.
+        difference: for a Cayley graph of an abelian group on the
+            coordinates, a function ``(u, v) -> v - u`` giving the group
+            element in canonical coordinates; None for every other graph.
+            ECMP routing uses it to accumulate one source, not one per node.
     """
 
     kind = "topology"
     vertex_transitive = False
+    difference: Callable[[Coord, Coord], Coord] | None = None
 
     def __init__(self, shape: Iterable[int]) -> None:
         self.shape: Shape = validate_shape(tuple(shape))

@@ -9,7 +9,7 @@ betweenness, computed here with Brandes' algorithm.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.errors import TopologyError
 from repro.topology.base import Topology
@@ -58,6 +58,28 @@ def path_length(topology: Topology, src: Coord, dst: Coord) -> int:
     return len(shortest_path(topology, src, dst)) - 1
 
 
+def _dependencies(topology: Topology, source: Coord
+                  ) -> Iterator[tuple[Coord, Coord, float]]:
+    """Brandes' accumulation from one source: (pred, node, dependency).
+
+    The dependency of `source` on DAG edge pred -> node is the number of
+    unit flows from `source` crossing it after even ECMP splitting.
+    """
+    dist, sigma, preds = _shortest_path_dag(topology, source)
+    if len(dist) != topology.num_nodes:
+        raise TopologyError("topology is disconnected")
+    order = sorted(dist, key=dist.get, reverse=True)  # type: ignore[arg-type]
+    delta = {node: 0.0 for node in dist}
+    for node in order:
+        if node == source:
+            continue
+        share = (1.0 + delta[node]) / sigma[node]
+        for pred in preds[node]:
+            contribution = sigma[pred] * share
+            yield pred, node, contribution
+            delta[pred] += contribution
+
+
 def ecmp_edge_loads(
     topology: Topology, sources: Iterable[Coord] | None = None
 ) -> dict[DirectedEdge, float]:
@@ -67,24 +89,30 @@ def ecmp_edge_loads(
     each DAG edge is summed; over all sources this equals, for every
     directed link, the number of (source, destination) unit flows crossing
     it after even ECMP splitting.
+
+    When `sources` is None and the topology is a Cayley graph of an
+    abelian group (it has a `difference` hook: regular tori and tori
+    twisted in one dimension), translating every source onto the first
+    node shows that the load on link (u, u + g) is the first node's
+    summed dependency over all its DAG edges of generator g, so one
+    source serves the whole graph.  Explicit `sources` always run one
+    accumulation per source.
     """
+    difference = topology.difference
+    if sources is None and difference is not None:
+        by_gen: dict[Coord, float] = {}
+        for pred, node, contribution in _dependencies(topology,
+                                                      topology.nodes[0]):
+            gen = difference(pred, node)
+            by_gen[gen] = by_gen.get(gen, 0.0) + contribution
+        return {(u, n): by_gen[difference(u, n)]
+                for u in topology.nodes for n in topology.unique_neighbors(u)}
     loads: dict[DirectedEdge, float] = {}
     scan = list(sources) if sources is not None else topology.nodes
     for source in scan:
-        dist, sigma, preds = _shortest_path_dag(topology, source)
-        if len(dist) != topology.num_nodes:
-            raise TopologyError("topology is disconnected")
-        order = sorted(dist, key=dist.get, reverse=True)  # type: ignore[arg-type]
-        delta = {node: 0.0 for node in dist}
-        for node in order:
-            if node == source:
-                continue
-            share = (1.0 + delta[node]) / sigma[node]
-            for pred in preds[node]:
-                contribution = sigma[pred] * share
-                edge = (pred, node)
-                loads[edge] = loads.get(edge, 0.0) + contribution
-                delta[pred] += contribution
+        for pred, node, contribution in _dependencies(topology, source):
+            edge = (pred, node)
+            loads[edge] = loads.get(edge, 0.0) + contribution
     return loads
 
 

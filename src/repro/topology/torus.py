@@ -35,6 +35,11 @@ class Torus3D(Topology):
                     continue
                 yield node, successor, dim
 
+    def difference(self, u: Coord, v: Coord) -> Coord:
+        """The group element ``v - u`` of Z_a x Z_b x Z_c."""
+        a, b, c = self.shape
+        return ((v[0] - u[0]) % a, (v[1] - u[1]) % b, (v[2] - u[2]) % c)
+
     def wraparound_edges(self) -> list[tuple[Coord, Coord]]:
         """The OCS-provided links (those joining index size-1 back to 0)."""
         wraps = []

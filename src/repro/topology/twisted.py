@@ -10,7 +10,9 @@ given dimension: wrapping ``x`` from ``a-1`` back to ``0`` lands at
 ``(0, (y + s_y) mod b, (z + s_z) mod c)``.  This construction is exactly a
 quotient of the integer lattice Z^3 by the lattice spanned by
 ``(a, -s_y, -s_z), (0, b, 0), (0, 0, c)``, so the resulting graph is a
-Cayley graph of an abelian group and therefore vertex-transitive.
+Cayley graph of an abelian group and therefore vertex-transitive.  That
+holds for a twist on one dimension; twists on two or more dimensions do
+not form such a quotient, and those graphs are not vertex-transitive.
 
 The paper (Section 2.8/2.9) twists shapes of the form ``n x n x 2n`` and
 ``n x 2n x 2n`` with ``n >= 4``, using the ``k x k x 2k`` configuration of
@@ -46,7 +48,6 @@ class TwistedTorus3D(Topology):
     """A 3D torus whose wraparound links apply per-dimension skews."""
 
     kind = "twisted-torus"
-    vertex_transitive = True
 
     def __init__(self, shape: tuple[int, int, int],
                  twists: TwistSpec | None = None) -> None:
@@ -63,7 +64,27 @@ class TwistedTorus3D(Topology):
             reduced = tuple(s % dims[i] for i, s in enumerate(skew))
             if any(reduced):
                 self.twists[dim] = reduced  # type: ignore[assignment]
+        # With one twisted dimension the graph is the Cayley graph of
+        # Z^3 / L (see the module docstring); with more it is not.
+        self.vertex_transitive = len(self.twists) <= 1
+        if not self.vertex_transitive:
+            self.difference = None
         super().__init__(dims)
+
+    def difference(self, u: Coord, v: Coord) -> Coord:
+        """The group element ``v - u`` of Z^3 / L in canonical coordinates.
+
+        Every whole wrap of the twisted dimension d (``q`` of them) is
+        traded for the lattice vector ``(size_d, -skew)``, i.e. ``q * skew``
+        added to the other dimensions; each coordinate is then reduced
+        modulo its size.  Defined for at most one twisted dimension.
+        """
+        raw = [v[0] - u[0], v[1] - u[1], v[2] - u[2]]
+        for dim, skew in self.twists.items():
+            wraps = raw[dim] // self.shape[dim]
+            raw = [r + wraps * s for r, s in zip(raw, skew)]
+        a, b, c = self.shape
+        return (raw[0] % a, raw[1] % b, raw[2] % c)
 
     def _edges(self) -> Iterator[tuple[Coord, Coord, int]]:
         for node in iter_coords(self.shape):

@@ -10,7 +10,7 @@ from repro.core import (PlacementPolicy, SliceScheduler, TPUv4Supercomputer,
                         analytic_ocs_goodput, simulate_goodput)
 from repro.core.availability import balanced_block_shape, spares_staircase
 from repro.core.scheduler import PlacementStrategy
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 
 
 def all_healthy(n=64):
@@ -141,6 +141,37 @@ class TestPlacementStrategy:
         defrag = SliceScheduler(free, grid=(2, 2, 2)).place_one(
             (4, 4, 4), PlacementPolicy.STATIC, PlacementStrategy.DEFRAG)
         assert defrag == best
+
+    def test_policy_and_strategy_value_strings(self):
+        # Blocks 0 and 7 free: OCS joins them into one 2-block slice, a
+        # static machine finds no 2-block cuboid.
+        free = [False] * 8
+        free[0] = free[7] = True
+        scheduler = SliceScheduler(free, grid=(2, 2, 2))
+        assert scheduler.place_one((4, 4, 8), "ocs") == [0, 7]
+        assert scheduler.place_one((4, 4, 8), "static") is None
+        assert scheduler.pack((4, 4, 8), "ocs").placements == [[0, 7]]
+        assert scheduler.pack((4, 4, 8), "static").placements == []
+        # The (0, 1, 7) layout where first-fit and best-fit diverge.
+        free[1] = True
+        scheduler = SliceScheduler(free, grid=(2, 2, 2))
+        assert scheduler.place_one(
+            (4, 4, 4), PlacementPolicy.STATIC, "first_fit") == [0]
+        assert scheduler.place_one(
+            (4, 4, 4), PlacementPolicy.STATIC, "best_fit") == [7]
+
+    @pytest.mark.parametrize("policy", ["banana", None, "OCS"])
+    def test_unknown_policy_rejected(self, policy):
+        scheduler = SliceScheduler(all_healthy(8), grid=(2, 2, 2))
+        with pytest.raises(ConfigurationError, match="placement policy"):
+            scheduler.place_one((4, 4, 4), policy)
+        with pytest.raises(ConfigurationError, match="placement policy"):
+            scheduler.pack((4, 4, 4), policy)
+
+    def test_unknown_strategy_rejected(self):
+        scheduler = SliceScheduler(all_healthy(8), grid=(2, 2, 2))
+        with pytest.raises(ConfigurationError, match="placement strategy"):
+            scheduler.place_one((4, 4, 4), PlacementPolicy.STATIC, "zzz")
 
     def test_best_fit_none_when_nothing_fits(self):
         free = [False] * 8

@@ -1,5 +1,7 @@
 """Tests for the experiment registry and per-experiment invariants."""
 
+import pathlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -7,6 +9,10 @@ from repro.experiments import ExperimentResult, list_experiments, run
 from repro.experiments.base import ExperimentResult as BaseResult
 
 ALL_EXPERIMENTS = list_experiments()
+
+#: `python -m repro run all` stdout; CI diffs the whole of it.
+RUN_ALL_GOLDEN = (pathlib.Path(__file__).parent / "golden"
+                  / "run_all_stdout.txt")
 
 
 class TestRegistry:
@@ -26,6 +32,22 @@ class TestRegistry:
     def test_unknown_id(self):
         with pytest.raises(ConfigurationError):
             run("figure99")
+
+
+def _golden_section(experiment_id: str) -> str:
+    """One experiment's block of the golden `run all` stdout."""
+    text = RUN_ALL_GOLDEN.read_text()
+    start = text.index(f"== {experiment_id}: ")
+    end = text.find("\n== ", start)
+    return text[start:end + 1 if end >= 0 else len(text)]
+
+
+@pytest.mark.parametrize("experiment_id", ["figure6", "section73"])
+def test_ecmp_experiments_match_run_all_golden(experiment_id):
+    # Both rest on ECMP edge loads; a moved digit means the routing
+    # changed what it computes, not just how fast.
+    assert run(experiment_id).render() + "\n\n" == \
+        _golden_section(experiment_id)
 
 
 _CACHE: dict[str, ExperimentResult] = {}

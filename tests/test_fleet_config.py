@@ -73,6 +73,21 @@ class TestValidation:
                            match="reconfig_base_seconds must be finite"):
             FleetConfig(reconfig_base_seconds=float("inf"))
 
+    @pytest.mark.parametrize("overrides", [
+        dict(reconfig_base_seconds=10 ** 4000),
+        # past the interpreter's 4300-digit int-to-str limit
+        dict(reconfig_base_seconds=10 ** 5000),
+        dict(reconfig_base_seconds="9" * 5000),
+        dict(num_pods=-10 ** 4000),
+        dict(strategy="z" * 5000),
+    ], ids=["4001_digits", "5001_digits", "long_str", "negative_huge",
+            "long_strategy"])
+    def test_error_echo_is_bounded(self, overrides):
+        data = {**FleetConfig().to_dict(), **overrides}
+        with pytest.raises(ConfigurationError) as caught:
+            FleetConfig.from_dict(data)
+        assert len(str(caught.value)) < 160
+
     def test_int_accepted_for_float_field_unconverted(self):
         config = FleetConfig(checkpoint_seconds=30)
         assert type(config.checkpoint_seconds) is int

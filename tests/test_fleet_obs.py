@@ -294,6 +294,18 @@ class TestJsonlExport:
         with pytest.raises(TraceError, match=needle):
             loads_obs("\n".join(mutate(lines)))
 
+    @pytest.mark.parametrize("key, value", [
+        ("start", 10 ** 4000), ("start", "9" * 5000), ("name", [0] * 5000)],
+        ids=["int", "str", "list"])
+    def test_error_echo_is_bounded(self, key, value):
+        lines = dumps_obs(_run_with_obs("tiny").obs).splitlines()[:1]
+        span = {"type": "span", "name": "running", "job_id": 1,
+                "start": 0.0, "end": 1.0, "args": {}, key: value}
+        with pytest.raises(TraceError) as caught:
+            loads_obs("\n".join(lines + [json.dumps(span)]))
+        assert key in str(caught.value)
+        assert len(str(caught.value)) < 160
+
     def test_empty_text_rejected(self):
         with pytest.raises(TraceError, match="empty"):
             loads_obs("")
@@ -349,6 +361,18 @@ class TestChromeExport:
     def test_validator_rejects_corruption(self, corrupt, needle):
         with pytest.raises(TraceError, match=needle):
             validate_chrome_trace(corrupt)
+
+    @pytest.mark.parametrize("event", [
+        {"ph": "i", "pid": 1, "tid": 0, "name": "x", "ts": 10 ** 4000},
+        {"ph": "X", "pid": 1, "tid": 0, "name": "x", "ts": 0,
+         "dur": "9" * 5000},
+        {"ph": "i", "pid": "1" * 5000, "tid": 0, "name": "x", "ts": 0},
+        {"ph": "Q" * 5000, "pid": 1, "tid": 0, "name": "x"}],
+        ids=["ts", "dur", "pid", "phase"])
+    def test_validator_echo_is_bounded(self, event):
+        with pytest.raises(TraceError) as caught:
+            validate_chrome_trace({"traceEvents": [event]})
+        assert len(str(caught.value)) < 160
 
 
 class TestFileRoundTrip:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.scheduler import PlacementPolicy
+from repro.core.scheduler import PlacementPolicy, PlacementStrategy
 from repro.errors import ConfigurationError
 from repro.fleet import (FleetSimulator, compare_policies, preset_config,
                          preset_names, run_fleet)
@@ -95,3 +95,32 @@ class TestInvariants:
     def test_failures_observed(self, tiny_reports):
         assert tiny_reports["ocs"].summary["block_failures"] > 0
         assert tiny_reports["ocs"].summary["job_interruptions"] > 0
+
+
+class TestPolicyArguments:
+    """`run` takes an enum member or its value string, nothing else."""
+
+    def test_policy_string_runs_that_policy(self, tiny_reports):
+        report = FleetSimulator(preset_config("tiny"), seed=0).run("ocs")
+        assert report.policy is PlacementPolicy.OCS
+        assert report.summary == tiny_reports["ocs"].summary
+        assert report.summary != tiny_reports["static"].summary
+
+    def test_strategy_string_runs_that_strategy(self):
+        simulator = FleetSimulator(preset_config("tiny"), seed=0)
+        by_name = simulator.run(PlacementPolicy.STATIC, "first_fit")
+        assert by_name.strategy is PlacementStrategy.FIRST_FIT
+        assert by_name.summary == simulator.run(
+            PlacementPolicy.STATIC, PlacementStrategy.FIRST_FIT).summary
+
+    @pytest.mark.parametrize("policy", ["banana", None, "OCS", 0])
+    def test_unknown_policy_rejected(self, policy):
+        simulator = FleetSimulator(preset_config("tiny"), seed=0)
+        with pytest.raises(ConfigurationError, match="placement policy"):
+            simulator.run(policy)
+
+    @pytest.mark.parametrize("strategy", ["zzz", "ocs", 1])
+    def test_unknown_strategy_rejected(self, strategy):
+        simulator = FleetSimulator(preset_config("tiny"), seed=0)
+        with pytest.raises(ConfigurationError, match="placement strategy"):
+            simulator.run(PlacementPolicy.STATIC, strategy)

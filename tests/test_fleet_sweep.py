@@ -54,6 +54,16 @@ class TestRunSweep:
         assert _summary_json(results[0]) == json.dumps(solo.summary,
                                                        sort_keys=True)
 
+    def test_policy_value_string(self):
+        by_name = run_sweep("tiny", [0], policy="static", processes=1)
+        by_member = run_sweep("tiny", [0], policy=PlacementPolicy.STATIC,
+                              processes=1)
+        assert _summary_json(by_name[0]) == _summary_json(by_member[0])
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ConfigurationError, match="placement policy"):
+            run_sweep("tiny", [0], policy="banana", processes=1)
+
     def test_deploy_schedule_applies_inside_workers(self):
         # A preset carrying a deploy_schedule must sweep with its drain
         # windows overlaid, exactly as the CLI runs it.

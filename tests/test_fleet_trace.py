@@ -272,6 +272,17 @@ class TestRecordValidation:
         with pytest.raises(TraceError, match=f"{key} must be finite"):
             loads_trace(_mutated(tiny_text, index, record))
 
+    @pytest.mark.parametrize("key, value", [
+        ("arrival", 10 ** 4000), ("work_seconds", "9" * 5000),
+        ("priority", [0] * 5000)], ids=["int", "str", "list"])
+    def test_error_echo_is_bounded(self, tiny_text, key, value):
+        job = _line(tiny_text, 1)
+        job[key] = value
+        with pytest.raises(TraceError) as caught:
+            loads_trace(_mutated(tiny_text, 1, job))
+        assert key in str(caught.value)
+        assert len(str(caught.value)) < 160
+
     def test_zero_work_rejected(self, tiny_text):
         job = _line(tiny_text, 1)
         job["work_seconds"] = 0.0

@@ -1,5 +1,6 @@
 """Tests for bisection, diameter, average distance, and routing."""
 
+import itertools
 import math
 
 import pytest
@@ -10,8 +11,14 @@ from repro.topology import (Mesh3D, Torus3D, TwistedTorus3D,
                             average_distance, bisection_bandwidth,
                             bisection_links, diameter,
                             theoretical_bisection_scaling)
+from repro.topology import routing
+from repro.topology.properties import bfs_distances
 from repro.topology.routing import (RoutingTable, ecmp_edge_loads,
                                     max_edge_load, path_length, shortest_path)
+from repro.topology.twisted import _twist_candidates
+
+# Twists on two dimensions: not a quotient lattice, not vertex-transitive.
+TWO_TWISTS = TwistedTorus3D((4, 4, 8), {0: (0, 0, 4), 1: (2, 0, 0)})
 
 
 class TestBisection:
@@ -76,6 +83,20 @@ class TestDistances:
     def test_twist_reduces_average_distance(self):
         assert (average_distance(TwistedTorus3D((4, 4, 8)))
                 < average_distance(Torus3D((4, 4, 8))))
+
+    def test_two_twists_scan_every_source(self):
+        profiles = {tuple(sorted(bfs_distances(TWO_TWISTS, n).values()))
+                    for n in TWO_TWISTS.nodes}
+        assert len(profiles) > 1
+        assert not TWO_TWISTS.vertex_transitive
+        totals = [sum(bfs_distances(TWO_TWISTS, n).values())
+                  for n in TWO_TWISTS.nodes]
+        n = TWO_TWISTS.num_nodes
+        assert average_distance(TWO_TWISTS) == pytest.approx(
+            sum(totals) / (n * (n - 1)), rel=1e-12)
+        assert diameter(TWO_TWISTS) == max(
+            max(bfs_distances(TWO_TWISTS, m).values())
+            for m in TWO_TWISTS.nodes)
 
     def test_average_distance_ring(self):
         # Ring of 4: distances 1,1,2 from each node -> mean 4/3.
@@ -149,6 +170,68 @@ class TestRouting:
         src = torus.nodes[0]
         for dst in torus.nodes[1:]:
             assert len(table.path(src, dst)) - 1 <= worst
+
+
+@pytest.fixture
+def dag_sources(monkeypatch):
+    """The sources `_shortest_path_dag` runs from, in call order."""
+    calls = []
+    original = routing._shortest_path_dag
+    monkeypatch.setattr(routing, "_shortest_path_dag",
+                        lambda t, s: calls.append(s) or original(t, s))
+    return calls
+
+
+def _assert_matches_full_brandes(topology):
+    fast = ecmp_edge_loads(topology)
+    full = ecmp_edge_loads(topology, topology.nodes)
+    assert fast.keys() == full.keys()
+    for edge, load in full.items():
+        assert fast[edge] == pytest.approx(load, rel=1e-12, abs=0)
+
+
+class TestTranslationSymmetricECMP:
+    """One Brandes source per Cayley graph, pinned to all-source Brandes."""
+
+    @pytest.mark.parametrize(
+        "shape", [s for s in itertools.product(range(1, 5), repeat=3)
+                  if s != (1, 1, 1)])
+    def test_small_tori_and_their_twists(self, shape):
+        _assert_matches_full_brandes(Torus3D(shape))
+        for spec in _twist_candidates(shape):
+            _assert_matches_full_brandes(TwistedTorus3D(shape, spec))
+
+    @pytest.mark.parametrize("shape", sorted(
+        set(itertools.permutations((4, 4, 8)))
+        | set(itertools.permutations((4, 8, 8)))))
+    def test_paper_shapes_every_dimension_order(self, shape):
+        _assert_matches_full_brandes(Torus3D(shape))
+        _assert_matches_full_brandes(TwistedTorus3D(shape))
+
+    @given(st.tuples(st.integers(1, 16), st.integers(1, 16),
+                     st.integers(1, 16)).filter(
+                         lambda s: 2 <= s[0] * s[1] * s[2] <= 64),
+           st.integers(0, 8))
+    @settings(max_examples=20, deadline=None)
+    def test_twists_of_longer_dimensions(self, shape, pick):
+        specs = _twist_candidates(shape)
+        if specs:
+            _assert_matches_full_brandes(
+                TwistedTorus3D(shape, specs[pick % len(specs)]))
+
+    @pytest.mark.parametrize("topology", [Mesh3D((3, 4, 2)), TWO_TWISTS],
+                             ids=["mesh", "two_twists"])
+    def test_fallback_runs_every_source(self, topology, dag_sources):
+        assert topology.difference is None
+        _assert_matches_full_brandes(topology)
+        assert dag_sources == topology.nodes * 2
+
+    @pytest.mark.parametrize("topology", [
+        Torus3D((4, 4, 8)), TwistedTorus3D((4, 8, 8))],
+        ids=["torus", "twisted"])
+    def test_symmetric_path_runs_one_source(self, topology, dag_sources):
+        ecmp_edge_loads(topology)
+        assert dag_sources == [topology.nodes[0]]
 
 
 class TestThroughputShape:
